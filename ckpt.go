@@ -2,13 +2,12 @@ package imp
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"sync/atomic"
 
+	"github.com/impsim/imp/internal/blobstore"
 	"github.com/impsim/imp/internal/ckptcache"
 	"github.com/impsim/imp/internal/sim"
 	"github.com/impsim/imp/internal/trace"
@@ -91,11 +90,9 @@ func checkpointKey(cfg Config) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("imp: keying checkpoint spec: %w", err)
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "impckpt|fmt%d|gen%d|snap%d|",
+	prefix := fmt.Sprintf("impckpt|fmt%d|gen%d|snap%d|",
 		trace.FormatVersion, workload.GenVersion, sim.SnapshotFormatVersion)
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil)[:12]), nil
+	return blobstore.Key(prefix, b), nil
 }
 
 // prefixFor resolves the prefix-sharing key and warm-up closure the harness

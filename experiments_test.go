@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -159,52 +160,80 @@ func TestExperimentGoldenCheckpointed(t *testing.T) {
 }
 
 // TestCorruptCheckpointEvictsAndColdStarts pins the poisoned-cache path: a
-// checkpoint that fails to restore is evicted and the point re-simulated,
-// so corruption can cost time but never correctness.
+// checkpoint that fails its store envelope, or passes it but fails to
+// restore, is evicted and the point re-simulated, so corruption can cost
+// time but never correctness.
 func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
-	ckptcache.Flush()
-	defer ckptcache.Flush()
-	dir := t.TempDir()
 	cfg := Config{Workload: "spmv", Cores: 4, Scale: 0.05, System: SystemBaseline}
-	pol := CheckpointPolicy{Enabled: true, Dir: dir}
 	pristine, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	garbage := []byte("IMPSgarbage-not-a-valid-snapshot")
+	for _, tc := range []struct {
+		name   string
+		poison func(t *testing.T, dir, file string)
+		// servedFirst: the store hands the bytes to sim.Restore, which
+		// rejects them, rather than rejecting the file itself.
+		servedFirst bool
+	}{
+		{name: "bad-envelope", poison: func(t *testing.T, dir, file string) {
+			if err := os.WriteFile(file, garbage, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "unrestorable-snapshot", poison: func(t *testing.T, dir, file string) {
+			ckptcache.Put(strings.TrimSuffix(filepath.Base(file), ".impsnap"), dir, garbage)
+		}, servedFirst: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckptcache.Flush()
+			defer ckptcache.Flush()
+			dir := t.TempDir()
+			pol := CheckpointPolicy{Enabled: true, Dir: dir}
 
-	// Populate the cache, then corrupt every checkpoint on disk and drop the
-	// in-memory copies so the next run must read the poisoned bytes.
-	if _, err := runCfg(cfg, pol); err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.impsnap"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no checkpoint files published (err=%v)", err)
-	}
-	for _, f := range files {
-		if err := os.WriteFile(f, []byte("IMPSgarbage-not-a-valid-snapshot"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ckptcache.Flush()
+			// Populate the cache, then poison every checkpoint on disk and
+			// drop the in-memory copies so the next run must read the
+			// poisoned bytes.
+			if _, err := runCfg(cfg, pol); err != nil {
+				t.Fatal(err)
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "*.impsnap"))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("no checkpoint files published (err=%v)", err)
+			}
+			for _, f := range files {
+				tc.poison(t, dir, f)
+			}
+			ckptcache.Flush()
 
-	res, err := runCfg(cfg, pol)
-	if err != nil {
-		t.Fatalf("corrupt checkpoint failed the run instead of cold-starting: %v", err)
-	}
-	if res.Cycles != pristine.Cycles || res.Throughput != pristine.Throughput || res.AMAT != pristine.AMAT {
-		t.Errorf("cold-start after corruption diverged: %+v vs %+v", res, pristine)
-	}
-	if s := ckptcache.GetStats(); s.Corrupt == 0 {
-		t.Error("corrupt blob was not evicted (Stats.Corrupt == 0)")
-	}
-	if _, err := os.Stat(files[0]); err == nil {
-		// The cold start re-published a fresh checkpoint under the same key;
-		// it must now restore cleanly.
-		ckptcache.Flush()
-		if _, err := runCfg(cfg, pol); err != nil {
-			t.Errorf("re-published checkpoint unusable: %v", err)
-		}
+			res, err := runCfg(cfg, pol)
+			if err != nil {
+				t.Fatalf("corrupt checkpoint failed the run instead of cold-starting: %v", err)
+			}
+			if res.Cycles != pristine.Cycles || res.Throughput != pristine.Throughput || res.AMAT != pristine.AMAT {
+				t.Errorf("cold-start after corruption diverged: %+v vs %+v", res, pristine)
+			}
+			s := ckptcache.GetStats()
+			if s.Corrupt == 0 {
+				t.Error("corrupt blob was not evicted (Stats.Corrupt == 0)")
+			}
+			if served := s.DiskHits > 0; served != tc.servedFirst {
+				t.Errorf("poisoned blob served to restore = %v, want %v: %+v", served, tc.servedFirst, s)
+			}
+			if _, err := os.Stat(files[0]); err == nil {
+				// The cold start re-published a fresh checkpoint under the
+				// same key; it must now restore cleanly.
+				ckptcache.Flush()
+				ResetCheckpointStats()
+				if _, err := runCfg(cfg, pol); err != nil {
+					t.Errorf("re-published checkpoint unusable: %v", err)
+				}
+				if cs := GetCheckpointStats(); cs.Hits != 1 || ckptcache.GetStats().Corrupt != 0 {
+					t.Errorf("re-published checkpoint not forked from: %+v, %+v", cs, ckptcache.GetStats())
+				}
+			}
+		})
 	}
 }
 

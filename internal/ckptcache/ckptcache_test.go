@@ -65,11 +65,17 @@ func TestEnvOverride(t *testing.T) {
 		t.Fatalf("checkpoint not under IMP_CKPT_CACHE dir: %v", err)
 	}
 	t.Setenv(EnvDir, "off")
-	if _, ok := Dir(""); ok {
-		t.Error("Dir reported the disk layer enabled under IMP_CKPT_CACHE=off")
+	Put("k2", "", []byte("x"))
+	if _, err := os.Stat(filepath.Join(dir, "k2.impsnap")); !os.IsNotExist(err) {
+		t.Errorf("checkpoint written under IMP_CKPT_CACHE=off: %v", err)
 	}
-	if d, ok := Dir(dir); !ok || d != dir {
-		t.Errorf("explicit override lost: Dir = (%q, %v)", d, ok)
+	if s := GetStats(); s.DiskPuts != 1 || s.DiskSkips != 1 {
+		t.Errorf("IMP_CKPT_CACHE=off put not skipped: %+v", s)
+	}
+	// An explicit dir argument overrides the environment.
+	Put("k3", dir, []byte("x"))
+	if _, err := os.Stat(filepath.Join(dir, "k3.impsnap")); err != nil {
+		t.Errorf("explicit override lost: %v", err)
 	}
 }
 

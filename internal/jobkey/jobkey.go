@@ -8,12 +8,11 @@
 package jobkey
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
 	"github.com/impsim/imp/api"
+	"github.com/impsim/imp/internal/blobstore"
 	"github.com/impsim/imp/internal/trace"
 	"github.com/impsim/imp/internal/workload"
 )
@@ -35,31 +34,6 @@ func ResultKey(spec api.JobSpec) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("jobkey: keying job spec: %w", err)
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "impjob|fmt%d|gen%d|", trace.FormatVersion, workload.GenVersion)
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil)[:keyBytes]), nil
-}
-
-// keyBytes is the truncated digest length; KeyLen is its hex width.
-const (
-	keyBytes = 12
-	// KeyLen is the exact length of every key ResultKey produces.
-	KeyLen = 2 * keyBytes
-)
-
-// ValidKey reports whether s is well-formed as a ResultKey output:
-// lowercase hex of exactly KeyLen characters. The store layers check it
-// before a caller-supplied key (the replication surface's
-// PUT/GET /v1/results/{key}) becomes a file name or a ring position.
-func ValidKey(s string) bool {
-	if len(s) != KeyLen {
-		return false
-	}
-	for _, c := range s {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	prefix := fmt.Sprintf("impjob|fmt%d|gen%d|", trace.FormatVersion, workload.GenVersion)
+	return blobstore.Key(prefix, b), nil
 }

@@ -1,9 +1,9 @@
 // Package progcache builds workload trace programs through a two-level
-// cache: an in-process LRU of materialized programs (experiments share one
+// cache: an in-process memo of decoded programs (experiments share one
 // build across all their configurations and parallel workers) and an
-// on-disk store of binary-encoded traces (builds survive across processes,
-// so repeated benchmark and experiment runs skip trace generation
-// entirely).
+// on-disk internal/blobstore of binary-encoded traces (builds survive
+// across processes, so repeated benchmark and experiment runs skip trace
+// generation entirely).
 //
 // The disk location is chosen as follows:
 //
@@ -14,22 +14,20 @@
 //
 // Cache keys cover the workload name, every Options field and the trace
 // format + generator versions, so a format or generator bump invalidates
-// old entries implicitly. Files are written via temp-file-and-rename, so
-// concurrent processes never observe partial traces; a corrupted or
-// truncated file (size/CRC-32 check failure on read) is evicted on the
-// spot, counted in Stats.Corrupt, and rebuilt — corruption never fails an
-// experiment. Cached programs are shared: callers must treat them as
-// read-only, as with any built Program.
+// old entries implicitly. The blob store writes atomically and evicts an
+// entry that fails its envelope check (or, inside it, the trace's own
+// CRC), counting it in Stats.Corrupt; the trace is then rebuilt, so
+// corruption never fails an experiment. Cached programs are shared:
+// callers must treat them as read-only, as with any built Program.
 package progcache
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
+	"sync/atomic"
 
+	"github.com/impsim/imp/internal/blobstore"
 	"github.com/impsim/imp/internal/trace"
 	"github.com/impsim/imp/internal/workload"
 )
@@ -43,37 +41,45 @@ const EnvDir = "IMP_TRACE_CACHE"
 const maxMemEntries = 32
 
 // Stats counts cache outcomes since process start (or the last Flush).
+//
+// DiskSkips counts operations that ran with the disk layer disabled or
+// unusable. Corrupt counts on-disk entries that failed their integrity
+// check (CRC mismatch, truncation, undecodable content) and were evicted
+// and rebuilt rather than failing the experiment.
 type Stats struct {
-	MemHits   uint64
-	DiskHits  uint64
-	Builds    uint64
-	DiskSkips uint64 // disk layer disabled or unusable
-	// Corrupt counts on-disk entries that failed their integrity check
-	// (CRC mismatch, truncation, undecodable content) and were evicted
-	// and rebuilt rather than failing the experiment.
-	Corrupt uint64
+	MemHits, DiskHits, Builds, DiskSkips, Corrupt uint64
 }
 
 type entry struct {
 	once    sync.Once
 	p       *trace.Program
 	err     error
-	done    bool
+	done    atomic.Bool // read by evictLocked while the build runs
 	lastUse uint64
 }
 
+// disk persists encoded traces. It has no memory layer: the memo below
+// holds decoded programs, and a second in-memory copy of their encoded
+// bytes would only cost resident memory.
+var disk = blobstore.New("", ".imptrace", 0, 0)
+
 var (
-	mu      sync.Mutex
-	entries = map[string]*entry{}
-	useTick uint64
-	stats   Stats
+	mu              sync.Mutex
+	entries         = map[string]*entry{}
+	useTick         uint64
+	memHits, builds atomic.Uint64
 )
 
 // Get returns the trace program for (name, opt), building it at most once
 // per process and persisting builds to the disk cache.
 func Get(name string, opt workload.Options) (*trace.Program, error) {
 	opt = opt.WithDefaults()
-	key := cacheKey(name, opt)
+	// The key covers the workload, every Options field, and the trace
+	// format and generator versions.
+	key := blobstore.Key(fmt.Sprintf(
+		"imptrace|fmt%d|gen%d|%s|cores%d|scale%.17g|sw%v|dist%d|seed%d",
+		trace.FormatVersion, workload.GenVersion,
+		name, opt.Cores, opt.Scale, opt.SoftwarePrefetch, opt.SWDistance, opt.Seed), nil)
 
 	mu.Lock()
 	e, ok := entries[key]
@@ -82,7 +88,7 @@ func Get(name string, opt workload.Options) (*trace.Program, error) {
 		entries[key] = e
 		evictLocked()
 	} else {
-		stats.MemHits++
+		memHits.Add(1)
 	}
 	useTick++
 	e.lastUse = useTick
@@ -96,9 +102,7 @@ func Get(name string, opt workload.Options) (*trace.Program, error) {
 			if rec := recover(); rec != nil {
 				e.err = fmt.Errorf("building %s trace: panic: %v", name, rec)
 			}
-			mu.Lock()
-			e.done = true
-			mu.Unlock()
+			e.done.Store(true)
 		}()
 		e.p, e.err = load(name, opt, key)
 	})
@@ -108,109 +112,49 @@ func Get(name string, opt workload.Options) (*trace.Program, error) {
 // load resolves one cache miss: disk first, then a real build (persisted
 // best-effort).
 func load(name string, opt workload.Options, key string) (*trace.Program, error) {
-	dir, enabled := cacheDir()
-	if !enabled {
-		mu.Lock()
-		stats.DiskSkips++
-		mu.Unlock()
-		p, err := workload.Build(name, opt)
-		if err == nil {
-			countBuild()
-		}
-		return p, err
-	}
-	path := filepath.Join(dir, key+".imptrace")
-	if f, err := os.Open(path); err == nil {
-		p, derr := trace.ReadProgram(f) // verifies size envelope + CRC-32
-		f.Close()
-		if derr == nil {
-			mu.Lock()
-			stats.DiskHits++
-			mu.Unlock()
+	dir := blobstore.ResolveDir("", EnvDir, "traces")
+	store := disk.At(dir)
+	if data, ok := store.Get(key); ok {
+		if p, err := trace.DecodeProgram(data); err == nil {
 			return p, nil
 		}
-		// Corrupt or truncated entry: evict it immediately so a failed
-		// rebuild (or a crash before the overwrite below lands) cannot
-		// leave the poisoned file to greet the next process, then rebuild.
-		mu.Lock()
-		stats.Corrupt++
-		mu.Unlock()
-		_ = os.Remove(path)
+		store.Evict(key) // the envelope held, but not a decodable trace
 	}
 	p, err := workload.Build(name, opt)
 	if err != nil {
 		return nil, err
 	}
-	countBuild()
-	if mkErr := os.MkdirAll(dir, 0o755); mkErr == nil {
-		// Best-effort persist; a full disk must not fail the experiment.
-		_ = p.WriteFile(path)
+	builds.Add(1)
+	if dir != "" {
+		var buf bytes.Buffer
+		if _, err := p.WriteTo(&buf); err == nil {
+			store.Put(key, buf.Bytes())
+		}
 	}
 	return p, nil
-}
-
-func countBuild() {
-	mu.Lock()
-	stats.Builds++
-	mu.Unlock()
 }
 
 // evictLocked drops least-recently-used completed entries beyond the cap.
 // In-flight builds are never evicted. Callers hold mu.
 func evictLocked() {
 	for len(entries) > maxMemEntries {
-		victimKey := ""
-		var victimUse uint64
+		victim := ""
 		for k, e := range entries {
-			if !e.done {
-				continue
-			}
-			if victimKey == "" || e.lastUse < victimUse {
-				victimKey, victimUse = k, e.lastUse
+			if e.done.Load() && (victim == "" || e.lastUse < entries[victim].lastUse) {
+				victim = k
 			}
 		}
-		if victimKey == "" {
+		if victim == "" {
 			return // everything in flight; stay over cap briefly
 		}
-		delete(entries, victimKey)
+		delete(entries, victim)
 	}
 }
-
-// cacheKey derives the content key for one build. Every Options field
-// participates, as do the trace format and generator versions.
-func cacheKey(name string, opt workload.Options) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf(
-		"imptrace|fmt%d|gen%d|%s|cores%d|scale%.17g|sw%v|dist%d|seed%d",
-		trace.FormatVersion, workload.GenVersion,
-		name, opt.Cores, opt.Scale, opt.SoftwarePrefetch, opt.SWDistance, opt.Seed)))
-	return hex.EncodeToString(h[:12])
-}
-
-// cacheDir resolves the disk cache directory; enabled is false when the
-// disk layer is turned off.
-func cacheDir() (dir string, enabled bool) {
-	switch v := os.Getenv(EnvDir); v {
-	case "":
-		if base, err := os.UserCacheDir(); err == nil {
-			return filepath.Join(base, "impsim", "traces"), true
-		}
-		return filepath.Join(os.TempDir(), "impsim-traces"), true
-	case "off", "OFF", "0", "false", "no":
-		return "", false
-	default:
-		return v, true
-	}
-}
-
-// Dir reports the resolved disk cache directory; ok is false when the disk
-// layer is disabled via IMP_TRACE_CACHE.
-func Dir() (dir string, ok bool) { return cacheDir() }
 
 // GetStats returns a snapshot of the cache counters.
 func GetStats() Stats {
-	mu.Lock()
-	defer mu.Unlock()
-	return stats
+	ds := disk.Stats()
+	return Stats{memHits.Load(), ds.DiskHits, builds.Load(), ds.DiskSkips, ds.Corrupt}
 }
 
 // Flush empties the in-process cache and resets counters (the disk layer
@@ -218,7 +162,8 @@ func GetStats() Stats {
 func Flush() {
 	mu.Lock()
 	defer mu.Unlock()
-	entries = map[string]*entry{}
-	stats = Stats{}
-	useTick = 0
+	entries, useTick = map[string]*entry{}, 0
+	memHits.Store(0)
+	builds.Store(0)
+	disk.Flush()
 }

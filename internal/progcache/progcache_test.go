@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/impsim/imp/internal/blobstore"
 	"github.com/impsim/imp/internal/workload"
 )
 
@@ -120,8 +121,8 @@ func TestDisabledWritesNothing(t *testing.T) {
 	if n := len(cacheFiles(t, dir)); n != 0 {
 		t.Fatalf("disabled cache wrote %d files", n)
 	}
-	if _, ok := Dir(); ok {
-		t.Error("Dir() reports enabled under IMP_TRACE_CACHE=off")
+	if d := blobstore.ResolveDir("", EnvDir, "traces"); d != "" {
+		t.Errorf("disk layer resolves to %q under IMP_TRACE_CACHE=off", d)
 	}
 	if st := GetStats(); st.DiskSkips == 0 || st.Builds != 1 {
 		t.Fatalf("stats: %+v", st)

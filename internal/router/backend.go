@@ -128,11 +128,7 @@ func (b *backend) probe(ctx context.Context, hc *http.Client, timeout time.Durat
 	b.markUp()
 }
 
-// BackendStats is one backend's slice of the router's aggregated /v1/stats
-// — the shared wire type (api.BackendStats).
-type BackendStats = api.BackendStats
-
-func (b *backend) stats() BackendStats {
+func (b *backend) stats() api.BackendStats {
 	b.mu.Lock()
 	healthy, lastErr, lastProbe := b.healthy, b.lastErr, b.lastProbe
 	b.mu.Unlock()
@@ -140,7 +136,7 @@ func (b *backend) stats() BackendStats {
 	if !lastProbe.IsZero() {
 		probed = lastProbe.UTC().Format(time.RFC3339Nano)
 	}
-	return BackendStats{
+	return api.BackendStats{
 		Name: b.name, URL: b.base,
 		Healthy: healthy, LastErr: lastErr, LastProbe: probed,
 		Submits: b.submits.Load(), Proxied: b.proxied.Load(),

@@ -146,10 +146,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is the router's aggregated /v1/stats payload — the shared wire
-// type (api.StatsResponse).
-type Stats = api.StatsResponse
-
 // Router fronts a fleet of impserve backends behind one api/ endpoint.
 type Router struct {
 	cfg     Config
@@ -875,9 +871,9 @@ func (rt *Router) handlePassthrough(path string) http.HandlerFunc {
 // like health probes — /v1/stats is exactly what an operator reads when
 // backends are saturated, so it must not queue behind the saturation it
 // is reporting.
-func (rt *Router) Stats(ctx context.Context) Stats {
+func (rt *Router) Stats(ctx context.Context) api.StatsResponse {
 	topo := rt.topo.Load()
-	st := Stats{
+	st := api.StatsResponse{
 		BackendCount:      len(topo.backends),
 		TopologyVersion:   topo.version,
 		EffectiveReplicas: topo.replicas,
@@ -892,7 +888,7 @@ func (rt *Router) Stats(ctx context.Context) Stats {
 		ReplicaErrors:     rt.replicaErrors.Load(),
 		ReadRepairs:       rt.readRepairs.Load(),
 		RepairMisses:      rt.repairMisses.Load(),
-		Backends:          make([]BackendStats, len(topo.backends)),
+		Backends:          make([]api.BackendStats, len(topo.backends)),
 	}
 	var wg sync.WaitGroup
 	for i, b := range topo.backends {
@@ -903,7 +899,7 @@ func (rt *Router) Stats(ctx context.Context) Stats {
 		}
 		st.HealthyCount++
 		wg.Add(1)
-		go func(i int, b *backend, bs BackendStats) {
+		go func(i int, b *backend, bs api.BackendStats) {
 			defer wg.Done()
 			sctx, cancel := context.WithTimeout(ctx, rt.cfg.HealthTimeout)
 			defer cancel()

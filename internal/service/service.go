@@ -33,13 +33,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"github.com/impsim/imp"
 	"github.com/impsim/imp/api"
 	"github.com/impsim/imp/internal/admission"
+	"github.com/impsim/imp/internal/blobstore"
 	"github.com/impsim/imp/internal/jobkey"
 	"github.com/impsim/imp/internal/metrics"
 )
@@ -61,7 +61,8 @@ type Config struct {
 	// StoreEntries bounds the in-memory result cache (default 256 results).
 	StoreEntries int
 	// ResultsDir, when set, backs the result store with a persistent
-	// directory (one CRC-checked file per key, like the trace cache), so a
+	// directory (one CRC-checked <key>.impresult file per result, through
+	// internal/blobstore like the trace and checkpoint caches), so a
 	// restarted service answers previously computed results without
 	// recompute. Empty keeps the store memory-only. Disk writes are
 	// best-effort: an unusable directory degrades to memory-only behavior
@@ -128,9 +129,6 @@ var (
 	ErrJobFailed = errors.New("service: job did not produce a result")
 )
 
-// Stats is the service's /v1/stats document — the shared wire type.
-type Stats = api.ServiceStats
-
 // typedErr pairs a package sentinel with its wire form, so errors.Is sees
 // the sentinel (existing callers branch on ErrQueueFull) while the HTTP
 // layer errors.As the *api.Error for the typed body and Retry-After header.
@@ -152,7 +150,7 @@ func queueFullError(retryAfter int) error {
 type Service struct {
 	cfg     Config
 	gate    imp.Gate
-	store   resultStore
+	store   *blobstore.Store // result key -> canonical result bytes
 	limiter *admission.Limiter
 	reg     *metrics.Registry
 
@@ -190,16 +188,10 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	var rs resultStore
-	if cfg.ResultsDir != "" {
-		rs = newDiskStore(cfg.StoreEntries, cfg.ResultsDir)
-	} else {
-		rs = newMemStore(cfg.StoreEntries)
-	}
 	s := &Service{
 		cfg:        cfg,
 		gate:       imp.NewGate(cfg.Parallelism),
-		store:      rs,
+		store:      blobstore.New(cfg.ResultsDir, ".impresult", cfg.StoreEntries, 0),
 		limiter:    admission.New(cfg.QuotaRate, cfg.QuotaBurst),
 		baseCtx:    ctx,
 		cancelBase: cancel,
@@ -262,17 +254,17 @@ func (s *Service) initMetrics() {
 			return laneSamples(func(l api.Lane) float64 { return float64(s.running[l]) })
 		})
 	r.CounterFunc("imp_service_store_hits_total", "Result-store hits.",
-		func() float64 { return float64(s.store.stats().Hits) })
+		func() float64 { st := s.store.Stats(); return float64(st.MemHits + st.DiskHits) })
 	r.CounterFunc("imp_service_store_puts_total", "Result-store writes.",
-		func() float64 { return float64(s.store.stats().Puts) })
+		func() float64 { return float64(s.store.Stats().Puts) })
 	r.GaugeFunc("imp_service_store_entries", "Results currently cached in memory.",
-		func() float64 { return float64(s.store.stats().Entries) })
+		func() float64 { return float64(s.store.Stats().Entries) })
 	r.CounterFunc("imp_service_store_disk_hits_total", "Results read from the persistent store layer.",
-		func() float64 { return float64(s.store.stats().DiskHits) })
+		func() float64 { return float64(s.store.Stats().DiskHits) })
 	r.CounterFunc("imp_service_store_disk_puts_total", "Results written to the persistent store layer.",
-		func() float64 { return float64(s.store.stats().DiskPuts) })
+		func() float64 { return float64(s.store.Stats().DiskPuts) })
 	r.CounterFunc("imp_service_store_corrupt_total", "On-disk results evicted for failing their integrity check.",
-		func() float64 { return float64(s.store.stats().Corrupt) })
+		func() float64 { return float64(s.store.Stats().Corrupt) })
 	// Checkpointed-sweep counters. The imp package counts process-wide (one
 	// checkpoint cache per process), which is exactly the service's scope.
 	r.CounterFunc("imp_service_checkpoint_hits_total", "Sweep points forked from a restored simulation checkpoint.",
@@ -453,7 +445,7 @@ func (s *Service) SubmitFrom(tenant string, spec api.JobSpec) (api.JobStatus, er
 	// read. The cost is a benign race — a concurrent duplicate submission
 	// can register a live job while we read — so re-check the singleflight
 	// index after relocking before committing either way.
-	data, inStore := s.store.get(key)
+	data, inStore := s.store.Get(key)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -601,7 +593,7 @@ func (s *Service) Cancel(id string) (api.JobStatus, error) {
 
 // Stats snapshots the service counters — the same values /metrics exports.
 func (s *Service) Stats() api.ServiceStats {
-	ss := s.store.stats()
+	ss := s.store.Stats()
 	cs := imp.GetCheckpointStats()
 	quotaRej := s.mQuotaRej.Total()
 	queueRej := s.mQueueRej.Value()
@@ -610,10 +602,8 @@ func (s *Service) Stats() api.ServiceStats {
 	return api.ServiceStats{
 		Submitted: uint64(s.nextID), Executed: s.executed,
 		Deduped: s.deduped, Cached: s.cached,
-		StoreHits: ss.Hits, StorePuts: ss.Puts, StoreLen: ss.Entries,
+		StoreHits: ss.MemHits + ss.DiskHits, StorePuts: ss.Puts, StoreLen: ss.Entries,
 		StoreDiskHits: ss.DiskHits, StoreDiskPuts: ss.DiskPuts, StoreCorrupt: ss.Corrupt,
-		Queued:             s.queuedLocked(),
-		Running:            s.running[api.LaneInteractive] + s.running[api.LaneBulk],
 		QueuedInteractive:  len(s.qlanes[api.LaneInteractive]),
 		QueuedBulk:         len(s.qlanes[api.LaneBulk]),
 		RunningInteractive: s.running[api.LaneInteractive],
@@ -630,21 +620,17 @@ func (s *Service) Stats() api.ServiceStats {
 // side of the replication surface (GET /v1/results/{key}). A malformed key
 // is simply a miss.
 func (s *Service) StoredResult(key string) ([]byte, bool) {
-	if !jobkey.ValidKey(key) {
+	if !blobstore.ValidKey(key) {
 		return nil, false
 	}
-	return s.store.get(key)
+	return s.store.Get(key)
 }
 
 // StoredKeys lists every key the result store can currently answer, sorted
 // (GET /v1/results). It is the inventory side of the replication surface:
 // the improuter front-end enumerates it during ring membership changes to
 // decide which results a joining or leaving backend must receive.
-func (s *Service) StoredKeys() []string {
-	keys := s.store.keys()
-	sort.Strings(keys)
-	return keys
-}
+func (s *Service) StoredKeys() []string { return s.store.Keys() }
 
 // StoreResult publishes a finished result under key without running
 // anything — the replica-write side of the replication surface
@@ -654,10 +640,10 @@ func (s *Service) StoredKeys() []string {
 // trusted to be the canonical result for it, which is why the endpoint is
 // internal (router-to-backend), not public.
 func (s *Service) StoreResult(key string, data []byte) error {
-	if !jobkey.ValidKey(key) {
+	if !blobstore.ValidKey(key) {
 		return fmt.Errorf("service: malformed result key %q", key)
 	}
-	s.store.put(key, data)
+	s.store.Put(key, data)
 	return nil
 }
 
@@ -825,7 +811,7 @@ func (s *Service) execute(ctx context.Context, j *Job) ([]byte, error) {
 	return tbl.JSON()
 }
 
-// finishJob records the terminal state, publishes the result, appends the
+// finishJob publishes the result, records the terminal state, appends the
 // terminal event and retires the singleflight entry for failed/canceled
 // jobs so a resubmission can retry. onlyIfQueued guards the
 // cancel-while-queued path: if an executor already moved the job to
@@ -833,6 +819,11 @@ func (s *Service) execute(ctx context.Context, j *Job) ([]byte, error) {
 // it saw cancelReq and finishes it as canceled itself). Lock order: j.mu
 // and s.mu are never held together — state first, index second.
 func (s *Service) finishJob(j *Job, data []byte, err error, onlyIfQueued bool) {
+	if err == nil {
+		// Store first: a client that sees "done" must find the result in
+		// the store, and on disk when the store has a results dir.
+		s.store.Put(j.key, data)
+	}
 	j.mu.Lock()
 	if j.state.Terminal() || (onlyIfQueued && j.state != api.StateQueued) {
 		j.mu.Unlock()
@@ -857,7 +848,6 @@ func (s *Service) finishJob(j *Job, data []byte, err error, onlyIfQueued bool) {
 	j.mu.Unlock()
 
 	if state == api.StateDone {
-		s.store.put(j.key, data)
 		return
 	}
 	s.mu.Lock()
@@ -873,4 +863,12 @@ func (s *Service) finishJob(j *Job, data []byte, err error, onlyIfQueued bool) {
 // imp.RunSweep output marshaled the same way.
 func marshalSweepResult(results []*imp.Result) ([]byte, error) {
 	return json.MarshalIndent(api.SweepResult{Results: results}, "", "  ")
+}
+
+// ResultKey derives the content address of a job's result. The definition
+// lives in internal/jobkey — shared with the improuter front-end, which
+// hashes the same key onto its backend ring so every spec is routed to the
+// backend whose store owns that key.
+func ResultKey(spec api.JobSpec) (string, error) {
+	return jobkey.ResultKey(spec)
 }

@@ -283,15 +283,20 @@ func eofToUnexpected(err error) error {
 	return err
 }
 
-// ReadProgram decodes a program written by WriteTo, verifying the trailing
-// CRC. The whole program is materialized in memory (the input is slurped up
-// front so the checksum covers exactly the encoded bytes); use
+// ReadProgram reads r to the end and decodes it with DecodeProgram. Use
 // NewFileSource to stream records instead.
 func ReadProgram(r io.Reader) (*Program, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading input: %w", err)
 	}
+	return DecodeProgram(data)
+}
+
+// DecodeProgram decodes a program written by WriteTo, verifying the
+// trailing CRC. The whole program is materialized in memory; it does not
+// retain data.
+func DecodeProgram(data []byte) (*Program, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("trace: input too short (%d bytes): %w", len(data), io.ErrUnexpectedEOF)
 	}
