@@ -12,6 +12,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"github.com/impsim/imp/internal/mem"
 )
@@ -163,26 +164,58 @@ type Cache struct {
 	clock    uint64
 }
 
-// New builds a cache from cfg; it panics on invalid configuration, which is
-// a programming error in experiment setup.
+// New builds an empty cache from cfg; it panics on invalid configuration,
+// which is a programming error in experiment setup. It reuses the arrays of
+// a released cache of the same geometry when one is pooled.
 func New(cfg Config) *Cache {
+	c := recycled(cfg)
+	c.free(0, len(c.lines))
+	c.clock = 0
+	return c
+}
+
+// pools holds released caches, one sync.Pool per Config: a sweep builds
+// and drops the same few geometries over and over, and allocating and
+// zeroing their arrays afresh showed up in restore profiles.
+var (
+	poolsMu sync.Mutex
+	pools   = map[Config]*sync.Pool{}
+)
+
+func poolFor(cfg Config) *sync.Pool {
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := pools[cfg]
+	if p == nil {
+		p = new(sync.Pool)
+		pools[cfg] = p
+	}
+	return p
+}
+
+// recycled returns a cache of cfg's geometry whose frames and clock hold
+// whatever a previous user left; callers overwrite every frame.
+func recycled(cfg Config) *Cache {
+	if c, _ := poolFor(cfg).Get().(*Cache); c != nil {
+		return c
+	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.Ways * mem.LineSize)
-	tags := make([]uint64, numSets*cfg.Ways)
-	for i := range tags {
-		tags[i] = tagFree
-	}
 	return &Cache{
 		cfg:      cfg,
 		ways:     cfg.Ways,
-		tags:     tags,
+		tags:     make([]uint64, numSets*cfg.Ways),
 		lines:    make([]Line, numSets*cfg.Ways),
 		setMask:  uint64(numSets - 1),
 		fullMask: FullMask(cfg.SectorBytes),
 	}
 }
+
+// Release returns the cache's arrays for reuse by a later New or Restored
+// of the same geometry. The cache must not be used afterwards.
+func (c *Cache) Release() { poolFor(c.cfg).Put(c) }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }

@@ -13,7 +13,11 @@
 // simulator's allocation profile.
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // DefaultK is the ACKwise sharer-tracking limit used in the paper.
 const DefaultK = 4
@@ -102,18 +106,42 @@ type Directory struct {
 	// snapshot encodes live entries (sorted, via the Entry accessors); the
 	// table layout itself is rebuilt tombstone-free by initTable on restore.
 	//imp:nosnap table layout, rebuilt by initTable on restore
-	keys []uint64
-	//imp:nosnap table layout, rebuilt by initTable on restore
-	vals []Entry
-	//imp:nosnap table layout, rebuilt by initTable on restore
-	state []uint8
+	*table
 	//imp:nosnap table layout, rebuilt by initTable on restore
 	live int // slotFull count
 	//imp:nosnap table layout, rebuilt by initTable on restore
 	dead int // slotTomb count
 }
 
+// table is the slot storage of a Directory, recycled through tables.
+type table struct {
+	keys  []uint64
+	vals  []Entry
+	state []uint8
+}
+
 const initialSlots = 256
+
+// tables recycles slot storage, one pool per table size (slot counts are
+// powers of two, indexed by their log2), so a reused table always has
+// exactly the slot count a fresh one would.
+var tables [64]sync.Pool
+
+// newTable returns an n-slot table with every slot empty. Keys and values
+// of empty slots are never read, so only the state bytes are cleared.
+func newTable(n int) *table {
+	if t, _ := tables[bits.TrailingZeros(uint(n))].Get().(*table); t != nil {
+		clear(t.state)
+		return t
+	}
+	return &table{keys: make([]uint64, n), vals: make([]Entry, n), state: make([]uint8, n)}
+}
+
+func releaseTable(t *table) {
+	if t != nil {
+		tables[bits.TrailingZeros(uint(len(t.keys)))].Put(t)
+	}
+}
 
 // New returns a directory with ACKwise_k tracking for numCores cores.
 // k must be in [1, 8] so the precise sharer list stays inline.
@@ -129,11 +157,18 @@ func New(k, numCores int) *Directory {
 	return d
 }
 
+// initTable installs an empty n-slot table, releasing the current one.
 func (d *Directory) initTable(n int) {
-	d.keys = make([]uint64, n)
-	d.vals = make([]Entry, n)
-	d.state = make([]uint8, n)
+	releaseTable(d.table)
+	d.table = newTable(n)
 	d.live, d.dead = 0, 0
+}
+
+// Release returns the directory's table for reuse by a later directory.
+// The directory must not be used afterwards.
+func (d *Directory) Release() {
+	releaseTable(d.table)
+	d.table = nil
 }
 
 // hashLine is a 64-bit finalizer (splitmix64): line ids are near-sequential
@@ -215,22 +250,24 @@ func (d *Directory) rehash() {
 	if 2*d.live >= n {
 		n *= 2
 	}
-	oldKeys, oldVals, oldState := d.keys, d.vals, d.state
+	old := d.table
+	d.table = nil // keep initTable from releasing it while it is read
 	d.initTable(n)
 	mask := uint64(n - 1)
-	for i, st := range oldState {
+	for i, st := range old.state {
 		if st != slotFull {
 			continue
 		}
-		j := hashLine(oldKeys[i]) & mask
+		j := hashLine(old.keys[i]) & mask
 		for d.state[j] == slotFull {
 			j = (j + 1) & mask
 		}
-		d.keys[j] = oldKeys[i]
-		d.vals[j] = oldVals[i]
+		d.keys[j] = old.keys[i]
+		d.vals[j] = old.vals[i]
 		d.state[j] = slotFull
 		d.live++
 	}
+	releaseTable(old)
 }
 
 func (e *Entry) hasSharer(core int) bool {

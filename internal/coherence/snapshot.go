@@ -43,7 +43,8 @@ func (d *Directory) Snapshot(w *snap.Writer) {
 
 // Restore replaces the directory's contents with a state written by
 // Snapshot. The directory must have been built with the same k and core
-// count.
+// count. Entries are decoded in one pass over the reader's bytes rather
+// than field by field through the sticky-error Reader.
 func (d *Directory) Restore(r *snap.Reader) error {
 	d.stats = Stats{
 		Reads:             r.U64(),
@@ -61,20 +62,47 @@ func (d *Directory) Restore(r *snap.Reader) error {
 		slots *= 2
 	}
 	d.initTable(slots)
+	b := r.Tail()
+	p := 0
 	for i := 0; i < n; i++ {
-		key := r.U64()
-		e := d.entry(key)
-		e.State = DirState(r.U8())
-		e.ns = r.U8()
-		e.overflow = r.Bool()
-		e.owner = int16(r.I64())
-		e.count = int32(r.I64())
-		if int(e.ns) > len(e.sharers) {
-			return fmt.Errorf("coherence: snapshot entry tracks %d sharers, limit is %d", e.ns, len(e.sharers))
+		key, k := snap.Uvarint(b[p:])
+		if k <= 0 || len(b)-p-k < 3 {
+			return entryErr(i, p, "truncated")
 		}
-		for j := 0; j < int(e.ns); j++ {
-			e.sharers[j] = int16(r.I64())
+		p += k
+		st, ns, overflow := b[p], b[p+1], b[p+2]
+		if overflow > 1 {
+			return entryErr(i, p, "bad bool byte")
+		}
+		if int(ns) > maxK {
+			return fmt.Errorf("coherence: snapshot entry tracks %d sharers, limit is %d", ns, maxK)
+		}
+		p += 3
+		owner, k := snap.Varint(b[p:])
+		if k <= 0 {
+			return entryErr(i, p, "truncated")
+		}
+		p += k
+		count, k := snap.Varint(b[p:])
+		if k <= 0 {
+			return entryErr(i, p, "truncated")
+		}
+		p += k
+		e := d.entry(key)
+		*e = Entry{State: DirState(st), ns: ns, overflow: overflow == 1, owner: int16(owner), count: int32(count)}
+		for j := range e.sharers[:ns] {
+			v, k := snap.Varint(b[p:])
+			if k <= 0 {
+				return entryErr(i, p, "truncated")
+			}
+			p += k
+			e.sharers[j] = int16(v)
 		}
 	}
-	return r.Err()
+	r.Skip(p)
+	return nil
+}
+
+func entryErr(entry, off int, what string) error {
+	return fmt.Errorf("coherence: snapshot entry %d: %s at byte %d of the entry data", entry, what, off)
 }

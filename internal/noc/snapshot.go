@@ -38,7 +38,9 @@ func (m *Mesh) Snapshot(w *snap.Writer) {
 }
 
 // Restore replaces the mesh's state with one written by Snapshot. The mesh
-// must have been built with the same Config.
+// must have been built with the same Config. Links are decoded in one pass
+// over the reader's bytes rather than field by field through the
+// sticky-error Reader.
 func (m *Mesh) Restore(r *snap.Reader) error {
 	m.FlitHops = r.U64()
 	m.Packets = r.U64()
@@ -49,21 +51,49 @@ func (m *Mesh) Restore(r *snap.Reader) error {
 		}
 		return fmt.Errorf("noc: snapshot has %d links, mesh has %d", n, len(m.links))
 	}
+	b := r.Tail()
+	p := 0
 	for i := range m.links {
 		l := &m.links[i]
-		*l = link{hint: r.I64()}
-		used := r.Count(3) // slot + epoch + used, one varint byte each at minimum
-		if r.Err() != nil {
-			return r.Err()
+		hint, n := snap.Varint(b[p:])
+		if n <= 0 {
+			return linkErr(i, p)
 		}
-		for j := 0; j < used; j++ {
-			s := r.Int()
+		p += n
+		used, n := snap.Varint(b[p:])
+		if n <= 0 {
+			return linkErr(i, p)
+		}
+		p += n
+		// slot + epoch + used, one varint byte each at minimum
+		if used < 0 || used > int64(len(b)-p)/3 {
+			return fmt.Errorf("noc: snapshot link %d claims %d used slots", i, used)
+		}
+		*l = link{hint: hint}
+		for j := int64(0); j < used; j++ {
+			s, n1 := snap.Varint(b[p:])
+			if n1 <= 0 {
+				return linkErr(i, p)
+			}
 			if s < 0 || s >= epochRing {
 				return fmt.Errorf("noc: snapshot slot %d out of range", s)
 			}
-			l.epoch[s] = r.I64()
-			l.used[s] = int32(r.I64())
+			epoch, n2 := snap.Varint(b[p+n1:])
+			if n2 <= 0 {
+				return linkErr(i, p+n1)
+			}
+			u, n3 := snap.Varint(b[p+n1+n2:])
+			if n3 <= 0 {
+				return linkErr(i, p+n1+n2)
+			}
+			p += n1 + n2 + n3
+			l.epoch[s], l.used[s] = epoch, int32(u)
 		}
 	}
-	return r.Err()
+	r.Skip(p)
+	return nil
+}
+
+func linkErr(link, off int) error {
+	return fmt.Errorf("noc: snapshot link %d truncated at byte %d of the link data", link, off)
 }

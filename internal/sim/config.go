@@ -176,12 +176,10 @@ func (c Config) Validate() error {
 	if c.Ideal && c.PerfectPrefetch {
 		return fmt.Errorf("sim: Ideal and PerfectPrefetch are mutually exclusive")
 	}
-	l1 := cache.Config{SizeBytes: c.L1SizeBytes, Ways: c.L1Ways, SectorBytes: c.l1SectorBytes()}
-	if err := l1.Validate(); err != nil {
+	if err := c.l1Config().Validate(); err != nil {
 		return fmt.Errorf("sim: L1: %w", err)
 	}
-	l2 := cache.Config{SizeBytes: c.l2SliceBytes(), Ways: c.L2Ways, SectorBytes: c.l2SectorBytes()}
-	if err := l2.Validate(); err != nil {
+	if err := c.l2Config().Validate(); err != nil {
 		return fmt.Errorf("sim: L2: %w", err)
 	}
 	if c.Prefetcher == PrefetchIMP {
@@ -190,6 +188,16 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// l1Config is the geometry of each tile's L1.
+func (c Config) l1Config() cache.Config {
+	return cache.Config{SizeBytes: c.L1SizeBytes, Ways: c.L1Ways, SectorBytes: c.l1SectorBytes()}
+}
+
+// l2Config is the geometry of each home L2 slice.
+func (c Config) l2Config() cache.Config {
+	return cache.Config{SizeBytes: c.l2SliceBytes(), Ways: c.L2Ways, SectorBytes: c.l2SectorBytes()}
 }
 
 // Describe prints the configuration in Table 1/Table 2 form.

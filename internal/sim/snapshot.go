@@ -16,7 +16,7 @@ import (
 // SnapshotFormatVersion is the snapshot encoding version written by
 // System.Snapshot. Restore rejects any other version; bump it whenever any
 // component's snapshot layout changes.
-const SnapshotFormatVersion = 1
+const SnapshotFormatVersion = 2
 
 var snapshotMagic = [4]byte{'I', 'M', 'P', 'S'}
 
@@ -53,7 +53,7 @@ func New(src trace.Source, cfg Config) (*System, error) {
 	if err := validateRun(src, cfg); err != nil {
 		return nil, err
 	}
-	return &System{s: build(src, cfg)}, nil
+	return &System{s: build(src, cfg, true)}, nil
 }
 
 // validateRun is the shared precondition check for RunSource, New and
@@ -98,7 +98,9 @@ func (y *System) Finish() (*Metrics, error) {
 		return nil, fmt.Errorf("sim: record stream: %w", y.s.streamErr)
 	}
 	y.finished = true
-	return y.s.collect(), nil
+	m := y.s.collect()
+	y.s.release()
+	return m, nil
 }
 
 // Cycles reports the simulated time reached so far: the maximum tile
@@ -167,9 +169,10 @@ func Restore(src trace.Source, cfg Config, data []byte) (*System, error) {
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("sim: snapshot CRC mismatch (got %08x, want %08x)", got, want)
 	}
-	s := build(src, cfg)
+	s := build(src, cfg, false)
 	r := snap.NewReader(body[snapshotHeaderLen:])
 	if err := s.restore(r); err != nil {
+		s.release()
 		return nil, err
 	}
 	return &System{s: s}, nil
@@ -235,7 +238,8 @@ func (s *system) snapshot(w *snap.Writer) error {
 	return nil
 }
 
-// restore overlays a state written by snapshot onto a freshly built system.
+// restore overlays a state written by snapshot onto a freshly built system,
+// building its caches from the snapshot as it reaches them.
 func (s *system) restore(r *snap.Reader) error {
 	if n := r.Int(); n != len(s.tiles) {
 		if r.Err() != nil {
@@ -262,10 +266,12 @@ func (s *system) restore(r *snap.Reader) error {
 	if err := ds.Restore(r); err != nil {
 		return err
 	}
-	for _, c := range s.l2 {
-		if err := c.Restore(r); err != nil {
+	for i := range s.l2 {
+		c, err := cache.Restored(s.cfg.l2Config(), r)
+		if err != nil {
 			return err
 		}
+		s.l2[i] = c
 	}
 	for _, d := range s.dir {
 		if err := d.Restore(r); err != nil {
@@ -293,9 +299,11 @@ func (s *system) restore(r *snap.Reader) error {
 				state:    cache.State(r.U8()),
 			})
 		}
-		if err := t.l1.Restore(r); err != nil {
+		l1, err := cache.Restored(s.cfg.l1Config(), r)
+		if err != nil {
 			return err
 		}
+		t.l1 = l1
 		if err := t.pipe.Restore(r); err != nil {
 			return err
 		}

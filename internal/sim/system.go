@@ -122,6 +122,8 @@ type system struct {
 	reqScratch []prefetch.Request
 	//imp:nosnap scratch, dead outside one access
 	complScratch []int64
+	//imp:nosnap scratch, dead outside one coherence action
+	targetScratch []int
 
 	//imp:nosnap Snapshot refuses a system with a pending stream error
 	streamErr error // first record-stream decode failure
@@ -155,7 +157,8 @@ func RunSource(src trace.Source, cfg Config) (*Metrics, error) {
 	if err := src.Validate(); err != nil {
 		return nil, err
 	}
-	s := build(src, cfg)
+	s := build(src, cfg, true)
+	defer s.release()
 	s.run()
 	if s.streamErr != nil {
 		return nil, fmt.Errorf("sim: record stream: %w", s.streamErr)
@@ -163,7 +166,9 @@ func RunSource(src trace.Source, cfg Config) (*Metrics, error) {
 	return s.collect(), nil
 }
 
-func build(src trace.Source, cfg Config) *system {
+// build assembles a system over src. With empty set, its caches start
+// empty; otherwise they are left nil for restore to build from a snapshot.
+func build(src trace.Source, cfg Config, empty bool) *system {
 	n := cfg.Cores
 	s := &system{
 		cfg:   cfg,
@@ -177,14 +182,10 @@ func build(src trace.Source, cfg Config) *system {
 		tiles: make([]*tile, 0, n),
 	}
 	s.mcOf = noc.DiamondMCTiles(s.mesh.Config().Dim, cfg.numMCs())
-	l2cfg := cache.Config{SizeBytes: cfg.l2SliceBytes(), Ways: cfg.L2Ways, SectorBytes: cfg.l2SectorBytes()}
-	l1cfg := cache.Config{SizeBytes: cfg.L1SizeBytes, Ways: cfg.L1Ways, SectorBytes: cfg.l1SectorBytes()}
 	for i := 0; i < n; i++ {
-		s.l2[i] = cache.New(l2cfg)
 		s.dir[i] = coherence.New(ackwiseK, n)
 		t := &tile{
 			id:       i,
-			l1:       cache.New(l1cfg),
 			pipe:     cpu.New(cfg.CoreModel, cfg.OoOWindow),
 			stream:   src.Open(i),
 			memr:     mem.NewCachedReader(s.space),
@@ -207,9 +208,36 @@ func build(src trace.Source, cfg Config) *system {
 			t.pf = t.imp
 			s.valueTap = true
 		}
+		if empty {
+			s.l2[i] = cache.New(cfg.l2Config())
+			t.l1 = cache.New(cfg.l1Config())
+		}
 		s.tiles = append(s.tiles, t)
 	}
 	return s
+}
+
+// release hands the caches and directory tables of a finished (or failed)
+// system back to their pools, so the next system of the same geometry
+// reuses them instead of allocating and zeroing its own. A restore that
+// failed part way leaves some caches nil.
+func (s *system) release() {
+	for i, c := range s.l2 {
+		if c != nil {
+			c.Release()
+			s.l2[i] = nil
+		}
+	}
+	for i, d := range s.dir {
+		d.Release()
+		s.dir[i] = nil
+	}
+	for _, t := range s.tiles {
+		if t.l1 != nil {
+			t.l1.Release()
+			t.l1 = nil
+		}
+	}
 }
 
 // chainedPrefetcher merges the requests of two prefetchers. Both append
@@ -704,12 +732,13 @@ func (s *system) applyCoherence(home, requester int, lineID uint64, act coherenc
 	targets := act.Invalidate
 	if act.Broadcast {
 		s.met.Broadcasts++
-		targets = targets[:0:0]
+		targets = s.targetScratch[:0]
 		for _, t := range s.tiles {
 			if t.id != requester && t.l1.Probe(lineID) != nil {
 				targets = append(targets, t.id)
 			}
 		}
+		s.targetScratch = targets
 		// Broadcast control messages reach every tile regardless of copies.
 		for _, t := range s.tiles {
 			if t.id != requester {
@@ -787,12 +816,13 @@ func (s *system) handleL2Eviction(home int, ev cache.Eviction) {
 	act := s.dir[home].EvictL2(lineID)
 	targets := act.Invalidate
 	if act.Broadcast {
-		targets = targets[:0:0]
+		targets = s.targetScratch[:0]
 		for _, t := range s.tiles {
 			if t.l1.Probe(lineID) != nil {
 				targets = append(targets, t.id)
 			}
 		}
+		s.targetScratch = targets
 	}
 	dirty := ev.State == cache.Modified
 	for _, c := range targets {

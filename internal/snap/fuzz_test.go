@@ -1,6 +1,7 @@
 package snap
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -31,7 +32,7 @@ func FuzzSnapReader(f *testing.F) {
 		r := NewReader(buf)
 		for i := 0; i < 64; i++ {
 			before := r.Remaining()
-			switch (int(sched) + i) % 8 {
+			switch (int(sched) + i) % 9 {
 			case 0:
 				r.U64()
 			case 1:
@@ -54,6 +55,24 @@ func FuzzSnapReader(f *testing.F) {
 				if r.Err() == nil && n > before/3 {
 					t.Fatalf("Count(3) admitted %d with only %d bytes remaining", n, before)
 				}
+			case 8:
+				// The Tail/Skip path restore loops use: the fast-path
+				// decoders must agree with encoding/binary, and a skip
+				// past a failed decode (n <= 0) must fail the Reader.
+				b := r.Tail()
+				v, n := Uvarint(b)
+				if bv, bn := binary.Uvarint(b); v != bv || n != bn {
+					t.Fatalf("Uvarint = %d, %d; binary.Uvarint = %d, %d", v, n, bv, bn)
+				}
+				if sv, sn := Varint(b); sn > 0 {
+					if bv, _ := binary.Varint(b); sv != bv {
+						t.Fatalf("Varint = %d; binary.Varint = %d", sv, bv)
+					}
+				}
+				if n <= 0 {
+					n = len(b) + 1
+				}
+				r.Skip(n)
 			}
 			if r.Err() != nil {
 				break
@@ -67,7 +86,7 @@ func FuzzSnapReader(f *testing.F) {
 		// garbage.
 		first := r.Err()
 		if r.U64() != 0 || r.I64() != 0 || r.U8() != 0 || r.Bool() || r.F64() != 0 ||
-			r.Bytes() != nil || r.Count(1) != 0 {
+			r.Bytes() != nil || r.Count(1) != 0 || r.Tail() != nil {
 			t.Fatal("reads after a decode error returned non-zero values")
 		}
 		if r.Err() != first {

@@ -154,6 +154,65 @@ func (r *Reader) Count(elemMin int) int {
 	return int(v)
 }
 
+// Tail returns the unread bytes (nil after an error) for a restore loop
+// that decodes a run of fields itself, with Uvarint, Varint and raw bytes,
+// instead of one sticky-error call per field. The loop reports what it
+// consumed with Skip.
+func (r *Reader) Tail() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.buf[r.pos:]
+}
+
+// Skip advances past n bytes of Tail.
+func (r *Reader) Skip(n int) {
+	if r.err != nil {
+		return
+	}
+	if n < 0 || n > len(r.buf)-r.pos {
+		r.fail("skip of %d bytes exceeds remaining %d at offset %d", n, len(r.buf)-r.pos, r.pos)
+		return
+	}
+	r.pos += n
+}
+
+// Uvarint is binary.Uvarint for decoding from Tail, unrolled for values of
+// up to four bytes: the fields restore loops and the trace record decoder
+// read are nearly all that short. n <= 0 means b is truncated or the value
+// overflows.
+func Uvarint(b []byte) (uint64, int) {
+	if len(b) < 4 {
+		return binary.Uvarint(b)
+	}
+	v := uint64(b[0])
+	if v < 0x80 {
+		return v, 1
+	}
+	v &= 0x7f
+	x := uint64(b[1])
+	if x < 0x80 {
+		return v | x<<7, 2
+	}
+	v |= (x & 0x7f) << 7
+	x = uint64(b[2])
+	if x < 0x80 {
+		return v | x<<14, 3
+	}
+	v |= (x & 0x7f) << 14
+	x = uint64(b[3])
+	if x < 0x80 {
+		return v | x<<21, 4
+	}
+	return binary.Uvarint(b)
+}
+
+// Varint decodes a zigzag varint from b like Uvarint.
+func Varint(b []byte) (int64, int) {
+	ux, n := Uvarint(b)
+	return int64(ux>>1) ^ -int64(ux&1), n
+}
+
 // U8 decodes one raw byte.
 func (r *Reader) U8() uint8 {
 	if r.err != nil {

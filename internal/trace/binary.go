@@ -40,13 +40,16 @@
 //
 // The per-core section header carries record and barrier counts so a
 // streaming reader (FileSource) can validate barrier alignment across
-// cores without decoding every record. ReadProgram verifies the CRC;
-// FileSource, which never reads the whole file, does not.
+// cores without decoding every record. A section's records must use
+// exactly its payload length, and only the CRC follows the last section.
+// ReadProgram verifies the CRC; FileSource, which never reads the whole
+// file, does not. Both decode records with the one recordDecoder, over
+// byte slices: DecodeProgram over the input itself, FileSource over a
+// window it refills from the file.
 package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,6 +60,7 @@ import (
 	"path/filepath"
 
 	"github.com/impsim/imp/internal/mem"
+	"github.com/impsim/imp/internal/snap"
 )
 
 // FormatVersion is the binary trace format version written by WriteTo.
@@ -217,70 +221,205 @@ func appendRecords(buf []byte, recs []Record) []byte {
 	return buf
 }
 
-// recordDecoder decodes one core's delta-encoded record stream.
-type recordDecoder struct {
-	r         io.ByteReader
-	prevAddr  uint64
-	prevPC    uint32
-	remaining uint64
+// maxRecordLen bounds one encoded record: the flags and kind/size bytes
+// plus three varints (gap, pc delta, addr delta).
+const maxRecordLen = 2 + 3*binary.MaxVarintLen64
+
+// errVarintOverflow reports a varint longer than 64 bits.
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
+
+// uvarint decodes a uvarint with snap's unrolled decoder: most record
+// fields (gaps, pc deltas) take one byte, address deltas two to four.
+func uvarint(b []byte) (uint64, int, error) {
+	v, n := snap.Uvarint(b)
+	if n <= 0 {
+		return 0, 0, varintErr(n)
+	}
+	return v, n, nil
 }
 
-// next decodes one record. It returns io.EOF (exactly) only via its caller
-// tracking remaining; a short underlying stream yields ErrUnexpectedEOF.
-func (d *recordDecoder) next() (Record, error) {
-	flags, err := d.r.ReadByte()
-	if err != nil {
-		return Record{}, eofToUnexpected(err)
+// varint decodes a zigzag varint.
+func varint(b []byte) (int64, int, error) {
+	v, n := snap.Varint(b)
+	if n <= 0 {
+		return 0, 0, varintErr(n)
 	}
-	rec := Record{Flags: flags}
+	return v, n, nil
+}
+
+func varintErr(n int) error {
+	if n == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errVarintOverflow
+}
+
+// recordDecoder decodes one core's delta-encoded record stream. It is the
+// only record decoder: DecodeProgram runs it over a core's section of the
+// CRC-checked input, a FileSource stream over its refilled window.
+type recordDecoder struct {
+	prevAddr uint64
+	prevPC   uint32
+}
+
+// next decodes the record at the front of b into rec and returns its
+// encoded length. A b that ends mid-record yields io.ErrUnexpectedEOF.
+func (d *recordDecoder) next(b []byte, rec *Record) (int, error) {
+	if len(b) == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	*rec = Record{Flags: b[0]}
 	if rec.IsBarrier() || rec.IsGapOnly() {
-		gap, err := binary.ReadUvarint(d.r)
+		gap, n, err := uvarint(b[1:])
 		if err != nil {
-			return Record{}, eofToUnexpected(err)
+			return 0, err
 		}
 		if gap > math.MaxUint16 {
-			return Record{}, fmt.Errorf("trace: gap %d overflows", gap)
+			return 0, fmt.Errorf("trace: gap %d overflows", gap)
 		}
 		rec.Gap = uint16(gap)
-		return rec, nil
+		return 1 + n, nil
 	}
-	ks, err := d.r.ReadByte()
-	if err != nil {
-		return Record{}, eofToUnexpected(err)
+	if len(b) < 2 {
+		return 0, io.ErrUnexpectedEOF
 	}
+	ks := b[1]
 	rec.Kind = Kind(ks >> 6)
 	rec.Size = (ks & 0x3f) + 1
 	if rec.Kind > KindIndirect {
-		return Record{}, fmt.Errorf("trace: bad kind %d", rec.Kind)
+		return 0, fmt.Errorf("trace: bad kind %d", rec.Kind)
 	}
-	gap, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return Record{}, eofToUnexpected(err)
-	}
-	if gap > math.MaxUint16 {
-		return Record{}, fmt.Errorf("trace: gap %d overflows", gap)
+	off := 2
+	// Gaps and pc deltas nearly always fit one byte: take those inline.
+	var gap uint64
+	if off < len(b) && b[off] < 0x80 {
+		gap = uint64(b[off])
+		off++
+	} else {
+		v, n, err := uvarint(b[off:])
+		if err != nil {
+			return 0, err
+		}
+		if v > math.MaxUint16 {
+			return 0, fmt.Errorf("trace: gap %d overflows", v)
+		}
+		gap = v
+		off += n
 	}
 	rec.Gap = uint16(gap)
-	dpc, err := binary.ReadVarint(d.r)
-	if err != nil {
-		return Record{}, eofToUnexpected(err)
+	var dpc int64
+	if off < len(b) && b[off] < 0x80 {
+		dpc = int64(b[off]>>1) ^ -int64(b[off]&1)
+		off++
+	} else {
+		v, n, err := varint(b[off:])
+		if err != nil {
+			return 0, err
+		}
+		dpc = v
+		off += n
 	}
+	daddr, n, err := varint(b[off:])
+	if err != nil {
+		return 0, err
+	}
+	off += n
 	d.prevPC += uint32(dpc)
 	rec.PC = PC(d.prevPC)
-	daddr, err := binary.ReadVarint(d.r)
-	if err != nil {
-		return Record{}, eofToUnexpected(err)
-	}
 	d.prevAddr += uint64(daddr)
 	rec.Addr = mem.Addr(d.prevAddr)
-	return rec, nil
+	return off, nil
 }
 
-func eofToUnexpected(err error) error {
-	if err == io.EOF {
+// windowSize is the refill buffer of a windowed reader and the chunk in
+// which region data is copied out.
+const windowSize = 32 << 10
+
+// reader is the byte cursor every decode goes through. Over a whole input
+// (DecodeProgram) buf is that input and nothing is ever copied; over a
+// ReaderAt (FileSource) buf is a window that fill slides forward and
+// refills from [next, end).
+type reader struct {
+	buf []byte
+	pos int
+	ra  io.ReaderAt // nil when buf holds the whole input
+	// next is the input offset just past buf; end bounds what may be read.
+	next, end int64
+}
+
+func newWindowReader(ra io.ReaderAt, off, end int64) reader {
+	return reader{buf: make([]byte, 0, windowSize), ra: ra, next: off, end: end}
+}
+
+// offset returns the input offset of the cursor.
+func (r *reader) offset() int64 { return r.next - int64(len(r.buf)-r.pos) }
+
+// remaining returns the number of unread input bytes.
+func (r *reader) remaining() int64 { return r.end - r.offset() }
+
+// fill buffers at least n bytes past the cursor, or every byte that remains
+// when fewer do; n must not exceed windowSize. It fails only on an I/O
+// error.
+func (r *reader) fill(n int) error {
+	if len(r.buf)-r.pos >= n || r.ra == nil || r.next == r.end {
+		return nil
+	}
+	r.buf = r.buf[:copy(r.buf[:cap(r.buf)], r.buf[r.pos:])]
+	r.pos = 0
+	want := int64(cap(r.buf) - len(r.buf))
+	if left := r.end - r.next; want > left {
+		want = left
+	}
+	got, err := r.ra.ReadAt(r.buf[len(r.buf):len(r.buf)+int(want)], r.next)
+	r.buf = r.buf[:len(r.buf)+got]
+	r.next += int64(got)
+	if int64(got) < want && err != nil && err != io.EOF {
+		return err
+	}
+	return nil
+}
+
+// take returns the next n bytes (n <= windowSize, as for fill) and
+// advances past them. The slice aliases the window: it is valid until the
+// next call on r.
+func (r *reader) take(n int) ([]byte, error) {
+	if err := r.fill(n); err != nil {
+		return nil, err
+	}
+	if len(r.buf)-r.pos < n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := r.buf[r.pos : r.pos+n]
+	r.pos += n
+	return b, nil
+}
+
+// skip advances past n bytes without reading them.
+func (r *reader) skip(n int64) error {
+	if n > r.remaining() {
 		return io.ErrUnexpectedEOF
 	}
-	return err
+	if buffered := int64(len(r.buf) - r.pos); n <= buffered {
+		r.pos += int(n)
+		return nil
+	}
+	r.next = r.offset() + n
+	r.buf, r.pos = r.buf[:0], 0
+	return nil
+}
+
+func (r *reader) uvarint() (uint64, error) {
+	if r.pos < len(r.buf) && r.buf[r.pos] < 0x80 {
+		v := r.buf[r.pos]
+		r.pos++
+		return uint64(v), nil
+	}
+	if err := r.fill(binary.MaxVarintLen64); err != nil {
+		return 0, err
+	}
+	v, n, err := uvarint(r.buf[r.pos:])
+	r.pos += n
+	return v, err
 }
 
 // ReadProgram reads r to the end and decodes it with DecodeProgram. Use
@@ -294,8 +433,9 @@ func ReadProgram(r io.Reader) (*Program, error) {
 }
 
 // DecodeProgram decodes a program written by WriteTo, verifying the
-// trailing CRC. The whole program is materialized in memory; it does not
-// retain data.
+// trailing CRC. It parses straight from data: regions are bulk-copied and
+// each core's records land in a slice of exactly their count. The whole
+// program is materialized in memory; it does not retain data.
 func DecodeProgram(data []byte) (*Program, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("trace: input too short (%d bytes): %w", len(data), io.ErrUnexpectedEOF)
@@ -307,37 +447,43 @@ func DecodeProgram(data []byte) (*Program, error) {
 	}
 
 	maxBytes := int64(len(body))
-	br := bufio.NewReaderSize(bytes.NewReader(body), 1<<16)
-	hdr, err := readHeader(br)
+	r := &reader{buf: body, next: maxBytes, end: maxBytes}
+	hdr, err := r.header()
 	if err != nil {
 		return nil, err
 	}
-	space, err := readRegions(br, hdr.regions, maxBytes)
+	space, err := r.regions(hdr.regions, maxBytes)
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{Space: space, SpinBarriers: hdr.spin}
-	for c := 0; c < hdr.cores; c++ {
-		count, _, _, err := readCoreHeader(br, maxBytes)
+	p := &Program{Space: space, SpinBarriers: hdr.spin, Traces: make([]*Trace, hdr.cores)}
+	for c := range p.Traces {
+		count, _, plen, err := r.coreHeader(maxBytes)
 		if err != nil {
 			return nil, fmt.Errorf("trace: core %d: %w", c, err)
 		}
-		dec := recordDecoder{r: br}
-		// Cap the pre-allocation: a lying count field must not allocate
-		// ahead of what the input can actually back.
-		prealloc := count
-		if prealloc > 1<<20 {
-			prealloc = 1 << 20
+		sec, err := r.take(int(plen))
+		if err != nil {
+			return nil, fmt.Errorf("trace: core %d payload: %w", c, err)
 		}
-		recs := make([]Record, 0, prealloc)
-		for i := uint64(0); i < count; i++ {
-			rec, err := dec.next()
+		// count <= plen/2 (coreHeader), so the input backs this allocation.
+		recs := make([]Record, count)
+		var dec recordDecoder
+		off := 0
+		for i := range recs {
+			n, err := dec.next(sec[off:], &recs[i])
 			if err != nil {
 				return nil, fmt.Errorf("trace: core %d record %d: %w", c, i, err)
 			}
-			recs = append(recs, rec)
+			off += n
 		}
-		p.Traces = append(p.Traces, &Trace{Records: recs})
+		if off != len(sec) {
+			return nil, fmt.Errorf("trace: core %d: %d records use %d of the section's %d payload bytes", c, count, off, len(sec))
+		}
+		p.Traces[c] = &Trace{Records: recs}
+	}
+	if n := r.remaining(); n != 0 {
+		return nil, fmt.Errorf("trace: %d trailing bytes after the last core section", n)
 	}
 	return p, nil
 }
@@ -348,131 +494,142 @@ type header struct {
 	regions int
 }
 
-func readHeader(br *bufio.Reader) (header, error) {
+func (r *reader) header() (header, error) {
 	var h header
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return h, fmt.Errorf("trace: reading magic: %w", eofToUnexpected(err))
+	magic, err := r.take(len(traceMagic))
+	if err != nil {
+		return h, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	if magic != traceMagic {
-		return h, fmt.Errorf("trace: bad magic %q (not an IMP trace file)", magic[:])
+	if [4]byte(magic) != traceMagic {
+		return h, fmt.Errorf("trace: bad magic %q (not an IMP trace file)", magic)
 	}
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:8]); err != nil {
-		return h, fmt.Errorf("trace: reading header: %w", eofToUnexpected(err))
+	b, err := r.take(12)
+	if err != nil {
+		return h, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if v := binary.LittleEndian.Uint16(buf[0:2]); v != FormatVersion {
+	if v := binary.LittleEndian.Uint16(b[0:2]); v != FormatVersion {
 		return h, fmt.Errorf("trace: %w %d (this build reads version %d)", ErrVersion, v, FormatVersion)
 	}
-	h.spin = buf[2]&1 != 0
-	h.cores = int(binary.LittleEndian.Uint32(buf[4:8]))
-	var reg [4]byte
-	if _, err := io.ReadFull(br, reg[:]); err != nil {
-		return h, fmt.Errorf("trace: reading header: %w", eofToUnexpected(err))
-	}
-	h.regions = int(binary.LittleEndian.Uint32(reg[:]))
+	h.spin = b[2]&1 != 0
+	h.cores = int(binary.LittleEndian.Uint32(b[4:8]))
+	h.regions = int(binary.LittleEndian.Uint32(b[8:12]))
 	if h.cores <= 0 || h.cores > maxCores || h.regions < 0 || h.regions > maxRegions {
 		return h, fmt.Errorf("trace: implausible header (cores=%d regions=%d)", h.cores, h.regions)
 	}
 	return h, nil
 }
 
-// readRegions decodes n regions. maxBytes is the total input size; no
-// single region may claim more element data than that.
-func readRegions(br *bufio.Reader, n int, maxBytes int64) (*mem.Space, error) {
+// regions decodes n regions. maxBytes is the total input size; no single
+// region may claim more element data than that.
+func (r *reader) regions(n int, maxBytes int64) (*mem.Space, error) {
 	space := mem.NewSpace()
 	for i := 0; i < n; i++ {
-		if err := readRegion(br, space, maxBytes); err != nil {
+		if err := r.region(space, maxBytes); err != nil {
 			return nil, fmt.Errorf("trace: region %d: %w", i, err)
 		}
 	}
 	return space, nil
 }
 
-func readRegion(br *bufio.Reader, space *mem.Space, maxBytes int64) error {
-	kb, err := br.ReadByte()
+func (r *reader) region(space *mem.Space, maxBytes int64) error {
+	kb, err := r.take(1)
 	if err != nil {
-		return eofToUnexpected(err)
+		return err
 	}
-	kind := mem.Kind(kb)
+	kind := mem.Kind(kb[0])
 	elemSize, err := kindElemSize(kind)
 	if err != nil {
 		return err
 	}
-	nameLen, err := binary.ReadUvarint(br)
+	nameLen, err := r.uvarint()
 	if err != nil {
-		return fmt.Errorf("bad name length: %w", eofToUnexpected(err))
+		return fmt.Errorf("bad name length: %w", err)
 	}
 	if nameLen > maxNameLen {
 		return fmt.Errorf("implausible name length %d", nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return eofToUnexpected(err)
-	}
-	base, err := binary.ReadUvarint(br)
-	if err != nil {
-		return eofToUnexpected(err)
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return eofToUnexpected(err)
-	}
-	if count > uint64(maxBytes)/uint64(elemSize) {
-		return fmt.Errorf("region %q claims %d elements, more than the input can back", name, count)
-	}
-	r, err := space.AllocAt(string(name), kind, mem.Addr(base), int(count))
+	name, err := r.take(int(nameLen))
 	if err != nil {
 		return err
 	}
-	var b8 [8]byte
+	regionName := string(name)
+	base, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	count, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if count > uint64(maxBytes)/uint64(elemSize) {
+		return fmt.Errorf("region %q claims %d elements, more than the input can back", regionName, count)
+	}
+	reg, err := space.AllocAt(regionName, kind, mem.Addr(base), int(count))
+	if err != nil {
+		return err
+	}
+	// Element data is copied out in window-sized chunks, little-endian.
 	switch kind {
 	case mem.KindInt32:
-		dst := r.Int32s()
-		for i := range dst {
-			if _, err := io.ReadFull(br, b8[:4]); err != nil {
-				return eofToUnexpected(err)
+		for dst := reg.Int32s(); len(dst) > 0; {
+			k := min(len(dst), windowSize/4)
+			b, err := r.take(4 * k)
+			if err != nil {
+				return err
 			}
-			dst[i] = int32(binary.LittleEndian.Uint32(b8[:4]))
+			for i := range dst[:k] {
+				dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+			dst = dst[k:]
 		}
 	case mem.KindInt64:
-		dst := r.Int64s()
-		for i := range dst {
-			if _, err := io.ReadFull(br, b8[:]); err != nil {
-				return eofToUnexpected(err)
+		for dst := reg.Int64s(); len(dst) > 0; {
+			k := min(len(dst), windowSize/8)
+			b, err := r.take(8 * k)
+			if err != nil {
+				return err
 			}
-			dst[i] = int64(binary.LittleEndian.Uint64(b8[:]))
+			for i := range dst[:k] {
+				dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+			dst = dst[k:]
 		}
 	case mem.KindFloat64:
-		dst := r.Float64s()
-		for i := range dst {
-			if _, err := io.ReadFull(br, b8[:]); err != nil {
-				return eofToUnexpected(err)
+		for dst := reg.Float64s(); len(dst) > 0; {
+			k := min(len(dst), windowSize/8)
+			b, err := r.take(8 * k)
+			if err != nil {
+				return err
 			}
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b8[:]))
+			for i := range dst[:k] {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+			dst = dst[k:]
 		}
 	case mem.KindBytes:
-		if _, err := io.ReadFull(br, r.Bytes()); err != nil {
-			return eofToUnexpected(err)
+		for dst := reg.Bytes(); len(dst) > 0; {
+			b, err := r.take(min(len(dst), windowSize))
+			if err != nil {
+				return err
+			}
+			dst = dst[copy(dst, b):]
 		}
-	default:
-		return fmt.Errorf("unknown region kind %d", kb)
 	}
 	return nil
 }
 
-// readCoreHeader decodes one per-core section header. maxBytes is the
-// total input size: a section cannot hold more payload than the input, and
-// every encoded record takes at least two bytes.
-func readCoreHeader(br io.ByteReader, maxBytes int64) (count, barriers, payloadLen uint64, err error) {
-	if count, err = binary.ReadUvarint(br); err != nil {
-		return 0, 0, 0, eofToUnexpected(err)
+// coreHeader decodes one per-core section header. maxBytes is the total
+// input size: a section cannot hold more payload than the input, and every
+// encoded record takes at least two bytes.
+func (r *reader) coreHeader(maxBytes int64) (count, barriers, payloadLen uint64, err error) {
+	if count, err = r.uvarint(); err != nil {
+		return 0, 0, 0, err
 	}
-	if barriers, err = binary.ReadUvarint(br); err != nil {
-		return 0, 0, 0, eofToUnexpected(err)
+	if barriers, err = r.uvarint(); err != nil {
+		return 0, 0, 0, err
 	}
-	if payloadLen, err = binary.ReadUvarint(br); err != nil {
-		return 0, 0, 0, eofToUnexpected(err)
+	if payloadLen, err = r.uvarint(); err != nil {
+		return 0, 0, 0, err
 	}
 	if payloadLen > uint64(maxBytes) || count > payloadLen/2 {
 		return 0, 0, 0, fmt.Errorf("implausible core section (records=%d bytes=%d)", count, payloadLen)

@@ -17,6 +17,7 @@ import (
 
 	"github.com/impsim/imp/internal/mem"
 	"github.com/impsim/imp/internal/trace"
+	"github.com/impsim/imp/internal/trace/tracetest"
 	"github.com/impsim/imp/internal/workload"
 )
 
@@ -181,6 +182,139 @@ func TestCrossVersionHeaderRejected(t *testing.T) {
 	if _, err := trace.NewFileSource(bytes.NewReader(data), int64(len(data))); !errors.Is(err, trace.ErrVersion) {
 		t.Fatalf("FileSource on future version: got %v, want ErrVersion", err)
 	}
+}
+
+// TestFramingFaultsRejected pins the section and trailer framing checks on
+// CRC-valid inputs: bytes between the last section and the CRC, and a
+// section whose records stop short of its declared payload length, are
+// rejected by both decode paths.
+func TestFramingFaultsRejected(t *testing.T) {
+	valid := encode(t, buildSmall(t, "spmv"))
+	for name, data := range map[string][]byte{
+		"trailing":        tracetest.Trailing(valid),
+		"section-overrun": tracetest.SectionOverrun(valid),
+	} {
+		if _, err := trace.DecodeProgram(data); err == nil {
+			t.Errorf("%s: DecodeProgram accepted it", name)
+		}
+		fs, err := newFS(t, data)
+		if err != nil {
+			continue
+		}
+		if streamErr(fs) == nil {
+			t.Errorf("%s: FileSource streamed it without error", name)
+		}
+	}
+}
+
+// craft hand-assembles a one-core, region-less trace whose core section
+// declares count records over payload, sealed with a valid CRC.
+func craft(count uint64, payload []byte) []byte {
+	b := []byte("IMPT")
+	b = binary.LittleEndian.AppendUint16(b, trace.FormatVersion)
+	b = append(b, 0, 0)
+	b = binary.LittleEndian.AppendUint32(b, 1) // cores
+	b = binary.LittleEndian.AppendUint32(b, 0) // regions
+	b = binary.AppendUvarint(b, count)
+	b = binary.AppendUvarint(b, 0) // barriers
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestRecordCorruptionsRejected feeds CRC-valid traces with malformed
+// records to both decode paths: each must fail, truncations with
+// io.ErrUnexpectedEOF.
+func TestRecordCorruptionsRejected(t *testing.T) {
+	const barrier = trace.FlagBarrier
+	big := binary.AppendUvarint(nil, 70000) // a gap beyond 16 bits
+	overflow := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	cases := []struct {
+		name      string
+		count     uint64
+		payload   []byte
+		truncated bool
+	}{
+		{"bad kind", 1, []byte{0, 3 << 6, 0, 0, 0}, false},
+		{"barrier gap overflow", 1, append([]byte{barrier}, big...), false},
+		{"access gap overflow", 1, append(append([]byte{0, 7}, big...), 0, 0), false},
+		{"varint overflow", 1, append(append([]byte{0, 7, 0, 0}, overflow...), 0), false},
+		{"ends after flags", 1, []byte{0, 7}, true},
+		{"ends in gap", 1, []byte{barrier, 0x80}, true},
+		{"ends before addr", 1, []byte{0, 7, 0, 0}, true},
+		{"second record missing", 2, []byte{barrier, 0, barrier, 0x80}, true},
+		{"more records than bytes allow", 5, []byte{barrier, 0}, false},
+	}
+	for _, tc := range cases {
+		data := craft(tc.count, tc.payload)
+		_, err := trace.DecodeProgram(data)
+		if err == nil {
+			t.Errorf("%s: DecodeProgram accepted it", tc.name)
+		} else if tc.truncated && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: DecodeProgram error %v, want io.ErrUnexpectedEOF", tc.name, err)
+		}
+		fs, err := newFS(t, data)
+		if err == nil {
+			err = streamErr(fs)
+		}
+		if err == nil {
+			t.Errorf("%s: FileSource accepted it", tc.name)
+		} else if tc.truncated && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: FileSource error %v, want io.ErrUnexpectedEOF", tc.name, err)
+		}
+	}
+	// The crafted frame itself is sound: a well-formed record decodes.
+	p, err := trace.DecodeProgram(craft(1, []byte{barrier, 5}))
+	if err != nil || len(p.Traces[0].Records) != 1 || p.Traces[0].Records[0].Gap != 5 {
+		t.Fatalf("well-formed crafted trace: %v", err)
+	}
+}
+
+// TestFileSourceMatchesDecodeProgram checks both decode paths over every
+// workload: the FileSource's refilled window must yield exactly the
+// records DecodeProgram materializes.
+func TestFileSourceMatchesDecodeProgram(t *testing.T) {
+	for _, name := range workload.Names() {
+		data := encode(t, buildSmall(t, name))
+		p, err := trace.DecodeProgram(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fs, err := newFS(t, data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for c := 0; c < fs.Cores(); c++ {
+			rs := fs.Open(c)
+			var got []trace.Record
+			for w := rs.Window(batch); len(w) > 0; w = rs.Window(batch) {
+				got = append(got, w...)
+				rs.Advance(len(w))
+			}
+			if err := rs.Err(); err != nil {
+				t.Fatalf("%s core %d: %v", name, c, err)
+			}
+			if !reflect.DeepEqual(got, p.Traces[c].Records) {
+				t.Fatalf("%s core %d: streamed records differ from DecodeProgram's", name, c)
+			}
+		}
+	}
+}
+
+const batch = 64
+
+// streamErr drains every core of fs and returns the first stream error.
+func streamErr(fs *trace.FileSource) error {
+	for c := 0; c < fs.Cores(); c++ {
+		rs := fs.Open(c)
+		for w := rs.Window(batch); len(w) > 0; w = rs.Window(batch) {
+			rs.Advance(len(w))
+		}
+		if err := rs.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestFileSourceStreamsIdenticalRecords drains a FileSource window-by-window

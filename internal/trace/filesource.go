@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -16,9 +15,10 @@ import (
 // long traces replay in constant record memory.
 //
 // The underlying ReaderAt must support concurrent ReadAt calls (os.File
-// and bytes.Reader do); each Open stream reads its own file section.
-// FileSource does not verify the file CRC — use ReadProgram for a fully
-// checked, materialized load.
+// and bytes.Reader do); each Open stream reads its own file section
+// through a refilled byte window, decoded by the same record decoder as
+// DecodeProgram. FileSource does not verify the file CRC — use ReadProgram
+// for a fully checked, materialized load.
 type FileSource struct {
 	ra     io.ReaderAt
 	closer io.Closer // non-nil when opened via OpenFile
@@ -43,37 +43,30 @@ func NewFileSource(ra io.ReaderAt, size int64) (*FileSource, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("trace: non-positive trace size %d", size)
 	}
-	or := &offsetReader{ra: ra}
-	br := bufio.NewReaderSize(or, 1<<16)
-	hdr, err := readHeader(br)
+	r := newWindowReader(ra, 0, size)
+	hdr, err := r.header()
 	if err != nil {
 		return nil, err
 	}
-	space, err := readRegions(br, hdr.regions, size)
+	space, err := r.regions(hdr.regions, size)
 	if err != nil {
 		return nil, err
 	}
 	fs := &FileSource{ra: ra, space: space, spin: hdr.spin}
 	for c := 0; c < hdr.cores; c++ {
-		count, barriers, plen, err := readCoreHeader(br, size)
+		count, barriers, plen, err := r.coreHeader(size)
 		if err != nil {
 			return nil, fmt.Errorf("trace: core %d section: %w", c, err)
 		}
-		pos := or.off - int64(br.Buffered())
 		fs.cores = append(fs.cores, coreSection{
-			off: pos, bytes: int64(plen), count: count, barriers: barriers,
+			off: r.offset(), bytes: int64(plen), count: count, barriers: barriers,
 		})
-		for skip := plen; skip > 0; {
-			chunk := skip
-			const maxChunk = 1 << 30
-			if chunk > maxChunk {
-				chunk = maxChunk
-			}
-			if _, err := br.Discard(int(chunk)); err != nil {
-				return nil, fmt.Errorf("trace: core %d payload: %w", c, eofToUnexpected(err))
-			}
-			skip -= chunk
+		if err := r.skip(int64(plen)); err != nil {
+			return nil, fmt.Errorf("trace: core %d payload: %w", c, err)
 		}
+	}
+	if n := r.remaining(); n != 4 {
+		return nil, fmt.Errorf("trace: %d bytes follow the last core section, want the 4-byte CRC", n)
 	}
 	return fs, nil
 }
@@ -148,9 +141,8 @@ func (fs *FileSource) Records() uint64 {
 // section.
 func (fs *FileSource) Open(core int) RecordStream {
 	cs := fs.cores[core]
-	sr := io.NewSectionReader(fs.ra, cs.off, cs.bytes)
 	return &fileStream{
-		dec:       recordDecoder{r: bufio.NewReaderSize(sr, 1<<15)},
+		r:         newWindowReader(fs.ra, cs.off, cs.off+cs.bytes),
 		remaining: cs.count,
 	}
 }
@@ -159,6 +151,7 @@ func (fs *FileSource) Open(core int) RecordStream {
 // ever holds the simulator's current window plus lookahead, so memory stays
 // bounded regardless of trace length.
 type fileStream struct {
+	r         reader // bounded to this core's section
 	dec       recordDecoder
 	remaining uint64
 	buf       []Record
@@ -171,13 +164,26 @@ const compactAt = 4096
 
 func (s *fileStream) Window(max int) []Record {
 	for len(s.buf)-s.head < max && s.remaining > 0 && s.err == nil {
-		rec, err := s.dec.next()
+		r := &s.r
+		if len(r.buf)-r.pos < maxRecordLen {
+			if s.err = r.fill(maxRecordLen); s.err != nil {
+				break
+			}
+		}
+		s.buf = append(s.buf, Record{})
+		n, err := s.dec.next(r.buf[r.pos:], &s.buf[len(s.buf)-1])
 		if err != nil {
+			s.buf = s.buf[:len(s.buf)-1]
 			s.err = err
 			break
 		}
+		r.pos += n
 		s.remaining--
-		s.buf = append(s.buf, rec)
+		if s.remaining == 0 {
+			if left := r.remaining(); left != 0 {
+				s.err = fmt.Errorf("trace: %d bytes follow the section's last record", left)
+			}
+		}
 	}
 	end := s.head + max
 	if end > len(s.buf) {
@@ -199,19 +205,3 @@ func (s *fileStream) Advance(n int) {
 }
 
 func (s *fileStream) Err() error { return s.err }
-
-// offsetReader adapts a ReaderAt to a Reader while tracking the absolute
-// offset, so section positions can be computed under a bufio layer.
-type offsetReader struct {
-	ra  io.ReaderAt
-	off int64
-}
-
-func (o *offsetReader) Read(p []byte) (int, error) {
-	n, err := o.ra.ReadAt(p, o.off)
-	o.off += int64(n)
-	if err == io.EOF && n > 0 {
-		err = nil
-	}
-	return n, err
-}

@@ -16,6 +16,7 @@ package trace_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/impsim/imp/internal/trace"
@@ -63,19 +64,30 @@ func FuzzReadProgram(f *testing.F) {
 
 // FuzzRecordStream: the streaming path (header + section index + lazy
 // per-core decode) must surface corruption through RecordStream.Err, never
-// a panic, and must terminate for any input.
+// a panic, and must terminate for any input. It is also a differential
+// oracle for FileSource's refill window: whenever DecodeProgram accepts an
+// input, the FileSource over the same bytes must accept it too and stream
+// every core's records exactly as DecodeProgram materialized them.
 func FuzzRecordStream(f *testing.F) {
 	addSeeds(f)
 	f.Add([]byte("IMPT"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		p, perr := trace.DecodeProgram(data)
 		fs, err := trace.NewFileSource(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
+			if perr == nil {
+				t.Fatalf("DecodeProgram accepts the input, NewFileSource rejects it: %v", err)
+			}
 			return
 		}
 		_ = fs.Validate()
 		_ = fs.Records()
+		if perr == nil && fs.Cores() != p.Cores() {
+			t.Fatalf("FileSource has %d cores, DecodeProgram %d", fs.Cores(), p.Cores())
+		}
 		for c := 0; c < fs.Cores(); c++ {
 			s := fs.Open(c)
+			var got []trace.Record
 			for {
 				w := s.Window(97)
 				if len(w) == 0 {
@@ -87,9 +99,20 @@ func FuzzRecordStream(f *testing.F) {
 					_ = r.Instructions()
 					_ = r.String()
 				}
+				got = append(got, w...)
 				s.Advance(len(w))
 			}
-			_ = s.Err() // corruption lands here, never as a panic
+			err := s.Err() // corruption lands here, never as a panic
+			if perr != nil {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("core %d: DecodeProgram accepts the input, the stream fails: %v", c, err)
+			}
+			if !slices.Equal(got, p.Traces[c].Records) {
+				t.Fatalf("core %d: streamed %d records differ from the %d DecodeProgram decoded",
+					c, len(got), len(p.Traces[c].Records))
+			}
 		}
 	})
 }

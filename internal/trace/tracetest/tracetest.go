@@ -6,7 +6,9 @@ package tracetest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"github.com/impsim/imp/internal/mem"
 	"github.com/impsim/imp/internal/trace"
@@ -53,8 +55,9 @@ func EncodeTiny() ([]byte, error) {
 }
 
 // Corruptions derives the structured corruption seeds from a valid
-// encoding: bad magic, unsupported version, truncation, and an in-payload
-// bit flip (caught only by the CRC).
+// encoding: bad magic, unsupported version, truncation, an in-payload
+// bit flip (caught only by the CRC), and two CRC-valid framing faults —
+// trailing bytes and a section longer than its records.
 func Corruptions(valid []byte) map[string][]byte {
 	badMagic := append([]byte(nil), valid...)
 	copy(badMagic, "JUNK")
@@ -63,9 +66,79 @@ func Corruptions(valid []byte) map[string][]byte {
 	bitflip := append([]byte(nil), valid...)
 	bitflip[len(bitflip)/2] ^= 0x40
 	return map[string][]byte{
-		"badmagic":   badMagic,
-		"badversion": badVersion,
-		"truncated":  valid[:len(valid)/2],
-		"bitflip":    bitflip,
+		"badmagic":        badMagic,
+		"badversion":      badVersion,
+		"truncated":       valid[:len(valid)/2],
+		"bitflip":         bitflip,
+		"trailing":        Trailing(valid),
+		"section-overrun": SectionOverrun(valid),
 	}
+}
+
+// Trailing appends four junk bytes between the last core section and the
+// CRC of a valid encoding, and re-seals the CRC.
+func Trailing(valid []byte) []byte {
+	out := append([]byte(nil), valid[:len(valid)-4]...)
+	out = append(out, 0xde, 0xad, 0xbe, 0xef)
+	return reseal(out)
+}
+
+// SectionOverrun grows the last core section's declared payload length by
+// one, appends one junk byte to its payload so the file stays well framed,
+// and re-seals the CRC: the section's records then stop one byte short of
+// the section's end.
+func SectionOverrun(valid []byte) []byte {
+	hdr, payload := lastSection(valid)
+	count, n1 := binary.Uvarint(valid[hdr:])
+	barriers, n2 := binary.Uvarint(valid[hdr+n1:])
+	plen, _ := binary.Uvarint(valid[hdr+n1+n2:])
+	out := append([]byte(nil), valid[:hdr]...)
+	out = binary.AppendUvarint(out, count)
+	out = binary.AppendUvarint(out, barriers)
+	out = binary.AppendUvarint(out, plen+1)
+	out = append(out, valid[payload:payload+int(plen)]...)
+	out = append(out, 0)
+	return reseal(out)
+}
+
+// reseal appends the CRC of body, as WriteTo does.
+func reseal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// lastSection walks a valid encoding (layout in trace/binary.go) and
+// returns the offsets of the last core section's header and payload.
+func lastSection(valid []byte) (hdr, payload int) {
+	cores := int(binary.LittleEndian.Uint32(valid[8:12]))
+	regions := int(binary.LittleEndian.Uint32(valid[12:16]))
+	pos := 16
+	uv := func() uint64 {
+		v, n := binary.Uvarint(valid[pos:])
+		pos += n
+		return v
+	}
+	for i := 0; i < regions; i++ {
+		kind := mem.Kind(valid[pos])
+		pos++
+		pos += int(uv()) // name
+		uv()             // base
+		count := int(uv())
+		switch kind {
+		case mem.KindInt32:
+			pos += 4 * count
+		case mem.KindInt64, mem.KindFloat64:
+			pos += 8 * count
+		default:
+			pos += count
+		}
+	}
+	for c := 0; c < cores; c++ {
+		hdr = pos
+		uv() // records
+		uv() // barriers
+		plen := int(uv())
+		payload = pos
+		pos += plen
+	}
+	return hdr, payload
 }
