@@ -40,11 +40,12 @@ type ServiceStats struct {
 	QuotaRejections uint64 `json:"quota_rejections,omitempty"`
 	QueueRejections uint64 `json:"queue_rejections,omitempty"`
 	// Checkpointed-sweep counters; all zero when checkpointing is off.
-	// CheckpointHits counts sweep points forked from a restored simulation
-	// checkpoint instead of simulated cold; CheckpointMisses counts shared
-	// replays simulated once and published to the checkpoint cache;
-	// PrefixCyclesSaved totals the simulated cycles those forks did not
-	// have to re-execute.
+	// Every checkpointed sweep point counts exactly one hit or one miss.
+	// CheckpointHits counts points served without simulating — from the
+	// checkpoint cache, or by waiting on a concurrent identical point's
+	// run; CheckpointMisses counts points simulated cold and published to
+	// the checkpoint cache; PrefixCyclesSaved sums the simulated cycles of
+	// the hit points.
 	CheckpointHits    uint64 `json:"checkpoint_hits,omitempty"`
 	CheckpointMisses  uint64 `json:"checkpoint_misses,omitempty"`
 	PrefixCyclesSaved uint64 `json:"prefix_cycles_saved,omitempty"`

@@ -92,11 +92,11 @@ func BenchmarkGHBComparison(b *testing.B) {
 
 // BenchmarkSweepPrefixSharing measures checkpointed sweep execution on the
 // fig2+table3 pair — the grids overlap in every workload's Perfect and
-// Baseline cells, so with checkpointing on, table3 forks those cells from
-// the checkpoints fig2 published instead of re-simulating them (and every
-// iteration after the first forks everything from the warm cache). "off" is
-// the plain path on the identical workload; the ratio of the two is the
-// speedup recorded in BENCH_*.json.
+// Baseline cells, so with checkpointing on, table3 reads those cells'
+// metrics from the checkpoints fig2 published instead of re-simulating
+// them (and every iteration after the first serves everything from the warm
+// cache). "off" is the plain path on the identical workload; the ratio of
+// the two is the speedup recorded in BENCH_*.json.
 func BenchmarkSweepPrefixSharing(b *testing.B) {
 	run := func(b *testing.B, opt ExpOptions) {
 		b.Helper()
@@ -117,7 +117,7 @@ func BenchmarkSweepPrefixSharing(b *testing.B) {
 		opt := benchOpt
 		opt.Checkpoints = CheckpointPolicy{Enabled: true, Dir: b.TempDir()}
 		// Populate the cache untimed: the steady state under measurement is
-		// a sweep whose prefixes are already checkpointed (by an earlier
+		// a sweep whose points are already checkpointed (by an earlier
 		// run, another experiment, or — fleet-side — another job).
 		run(b, opt)
 		ResetCheckpointStats()

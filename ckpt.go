@@ -3,8 +3,10 @@ package imp
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"github.com/impsim/imp/internal/blobstore"
@@ -15,29 +17,32 @@ import (
 )
 
 // Checkpointed sweep execution. A sweep point's simulation is a pure
-// function of its trace and its effective sim configuration, so a finished
-// replay can be snapshotted (internal/sim's versioned, CRC'd envelope) and
-// any later point with the same identity forked from the restored state
-// instead of re-simulating. Identity is content-addressed like results
+// function of its trace and its effective sim configuration, and every
+// figure and table reads only the finished run's counters, so a checkpoint
+// is the finished run's sim.Metrics, memoized under a content address. A
+// hit decodes the blob without touching the trace; a miss simulates once
+// and publishes. Identity is content-addressed like results
 // (internal/jobkey) and traces (internal/progcache): the key covers the
 // workload build request, the effective system, and the trace, generator
-// and snapshot format versions, so a version bump invalidates stale
-// checkpoints implicitly. Late-binding IMP prefetch parameters are zeroed
-// out of the key when the configured system never instantiates the IMP
-// prefetcher — for such systems they are inert, so e.g. a Baseline cell
-// keyed by a sensitivity sweep still shares the Baseline replay. For IMP
-// systems they shape the simulation from the first record and stay in the
-// key.
+// and snapshot format versions (the last also versions the metrics blob
+// layout), so a version bump invalidates stale checkpoints implicitly.
+// Late-binding IMP prefetch parameters are zeroed out of the key when the
+// configured system never instantiates the IMP prefetcher — for such
+// systems they are inert, so e.g. a Baseline cell keyed by a sensitivity
+// sweep still shares the Baseline run. For IMP systems they shape the
+// simulation from the first record and stay in the key.
 
 // CheckpointStats counts checkpointed-execution outcomes process-wide,
 // across every sweep (the same scope as the trace-cache counters).
 type CheckpointStats struct {
-	// Hits counts sweep points forked from a restored checkpoint.
+	// Every checkpointed sweep point counts exactly one hit or one miss.
+	// Hits counts points served without simulating: from the checkpoint
+	// cache, or by waiting on a concurrent identical point's run.
 	Hits uint64
-	// Misses counts shared replays simulated cold (and then published).
+	// Misses counts points simulated cold (and then published).
 	Misses uint64
-	// PrefixCyclesSaved totals the simulated cycles restored from
-	// checkpoints instead of re-simulated — the work forking saved.
+	// PrefixCyclesSaved sums the simulated Cycles of the hit points — the
+	// simulation the checkpoints saved.
 	PrefixCyclesSaved uint64
 }
 
@@ -67,7 +72,7 @@ type ckptSpec struct {
 	Sim      sim.Config       `json:"sim"`
 }
 
-// checkpointKey derives the content address of cfg's finished replay. cfg
+// checkpointKey derives the content address of cfg's finished run. cfg
 // must already have its defaults applied (the sweep entry points do this
 // once per point).
 func checkpointKey(cfg Config) (string, error) {
@@ -78,7 +83,7 @@ func checkpointKey(cfg Config) (string, error) {
 	if scfg.Prefetcher != sim.PrefetchIMP {
 		// Late-binding IMP knobs are inert without the IMP prefetcher;
 		// excluding them lets configs differing only in such knobs share
-		// one replay.
+		// one run.
 		scfg.IMP = sim.DefaultConfig(cfg.Cores).IMP
 	}
 	spec := ckptSpec{
@@ -90,45 +95,38 @@ func checkpointKey(cfg Config) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("imp: keying checkpoint spec: %w", err)
 	}
-	prefix := fmt.Sprintf("impckpt|fmt%d|gen%d|snap%d|",
+	prefix := fmt.Sprintf("impmetrics|fmt%d|gen%d|snap%d|",
 		trace.FormatVersion, workload.GenVersion, sim.SnapshotFormatVersion)
 	return blobstore.Key(prefix, b), nil
 }
 
-// prefixFor resolves the prefix-sharing key and warm-up closure the harness
-// runs once per group of identical points. Zero values (no grouping) when
-// checkpointing is off or the config cannot be keyed — the leaf then runs
-// cold and surfaces any real configuration error itself.
-func prefixFor(cfg Config, pol CheckpointPolicy) (string, func(ctx context.Context) error) {
-	if !pol.Enabled {
-		return "", nil
-	}
-	key, err := checkpointKey(cfg)
-	if err != nil {
-		return "", nil
-	}
-	return key, func(ctx context.Context) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return ensureCheckpoint(cfg, key, pol)
-	}
+// errAbandoned is what waiters see when the run they waited on panicked
+// before recording an outcome.
+var errAbandoned = errors.New("imp: concurrent identical simulation panicked")
+
+// flight is one in-progress checkpointed run; callers with the same key
+// wait on done and copy res's metrics instead of simulating again.
+type flight struct {
+	done chan struct{}
+	res  *Result
+	err  error
 }
 
-// ensureCheckpoint makes cfg's replay available under key: a cache hit is
-// free; a miss simulates the full replay once and publishes its snapshot,
-// so every grouped leaf (and later sweeps) forks instead of re-simulating.
-func ensureCheckpoint(cfg Config, key string, pol CheckpointPolicy) error {
-	if _, ok := ckptcache.Get(key, pol.Dir); ok {
-		return nil
-	}
-	_, err := simulateAndPublish(cfg, key, pol)
-	return err
-}
+// inflight dedupes concurrent identical points process-wide, across sweeps
+// and service jobs alike.
+var inflight = struct {
+	sync.Mutex
+	m map[string]*flight
+}{m: make(map[string]*flight)}
 
 // runCfg is the leaf execution every sweep point goes through: the plain
-// Run path with checkpointing off, the fork-or-publish path with it on.
-func runCfg(cfg Config, pol CheckpointPolicy) (*Result, error) {
+// Run path with checkpointing off, the metrics memo with it on. With it
+// on, concurrent calls with the same key run one simulation: the first
+// caller runs it while the others wait for its metrics.
+func runCfg(ctx context.Context, cfg Config, pol CheckpointPolicy) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if !pol.Enabled {
 		return Run(cfg)
 	}
@@ -136,69 +134,68 @@ func runCfg(cfg Config, pol CheckpointPolicy) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if data, ok := ckptcache.Get(key, pol.Dir); ok {
-		if res, err := forkFromCheckpoint(cfg, data); err == nil {
-			return res, nil
+	inflight.Lock()
+	f, wait := inflight.m[key]
+	if !wait {
+		f = &flight{done: make(chan struct{}), err: errAbandoned}
+		inflight.m[key] = f
+	}
+	inflight.Unlock()
+	if wait {
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		// The blob would not restore (corrupt file, geometry drift):
-		// evict it and fall through to a cold start — never a wrong
-		// result, at worst a re-simulation.
+		if f.err != nil {
+			return nil, f.err
+		}
+		m := *f.res.Metrics
+		m.PerCoreCycles = slices.Clone(m.PerCoreCycles)
+		return hit(&m), nil
+	}
+	defer func() {
+		inflight.Lock()
+		delete(inflight.m, key)
+		inflight.Unlock()
+		close(f.done)
+	}()
+	f.res, f.err = lookupOrSimulate(cfg, key, pol)
+	return f.res, f.err
+}
+
+// lookupOrSimulate serves cfg's metrics from the checkpoint cache, or
+// simulates cfg and publishes them (best-effort: an encoding failure
+// degrades to an uncached run).
+func lookupOrSimulate(cfg Config, key string, pol CheckpointPolicy) (*Result, error) {
+	if data, ok := ckptcache.Get(key, pol.Dir); ok {
+		var m sim.Metrics
+		if m.UnmarshalBinary(data) == nil && len(m.PerCoreCycles) == cfg.Cores {
+			return hit(&m), nil
+		}
+		// The blob does not decode, or its shape does not match the key's
+		// config: evict it and fall through to a cold start — never a
+		// wrong result, at worst a re-simulation.
 		ckptcache.Evict(key, pol.Dir)
 	}
-	m, err := simulateAndPublish(cfg, key, pol)
+	res, err := simulate(cfg)
 	if err != nil {
-		return nil, err
-	}
-	return newResult(m), nil
-}
-
-// forkFromCheckpoint restores cfg's replay from a snapshot and finishes it
-// (metric finalization only — the replay itself was already simulated).
-func forkFromCheckpoint(cfg Config, data []byte) (*Result, error) {
-	prog, err := cfg.resolveProgram()
-	if err != nil {
-		return nil, err
-	}
-	scfg, err := cfg.simConfig()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := sim.Restore(prog.Source(), scfg, data)
-	if err != nil {
-		return nil, err
-	}
-	saved := sys.Cycles()
-	m, err := sys.Finish()
-	if err != nil {
-		return nil, err
-	}
-	ckptHits.Add(1)
-	ckptCyclesSaved.Add(uint64(saved))
-	return newResult(m), nil
-}
-
-// simulateAndPublish runs cfg's full replay cold, publishes its end-state
-// snapshot under key (best-effort: a snapshot failure degrades to an
-// uncached run), and returns the finished metrics.
-func simulateAndPublish(cfg Config, key string, pol CheckpointPolicy) (*sim.Metrics, error) {
-	prog, err := cfg.resolveProgram()
-	if err != nil {
-		return nil, err
-	}
-	scfg, err := cfg.simConfig()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := sim.New(prog.Source(), scfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.RunUntil(math.MaxInt); err != nil {
 		return nil, err
 	}
 	ckptMisses.Add(1)
-	if data, err := sys.Snapshot(); err == nil {
-		ckptcache.Put(key, pol.Dir, data)
+	if blob, err := res.Metrics.MarshalBinary(); err == nil {
+		ckptcache.Put(key, pol.Dir, blob)
 	}
-	return sys.Finish()
+	return res, nil
+}
+
+// simulate is the cold path of runCfg; tests replace it to inject
+// failures.
+var simulate = Run
+
+// hit counts a point served without simulating and wraps its metrics.
+func hit(m *sim.Metrics) *Result {
+	ckptHits.Add(1)
+	ckptCyclesSaved.Add(uint64(m.Cycles))
+	return newResult(m)
 }

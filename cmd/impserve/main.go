@@ -21,10 +21,10 @@
 // GET /metrics serves Prometheus text exposition; -quota-rate/-quota-burst
 // enable per-tenant submission quotas (X-Imp-Tenant header, 429 +
 // Retry-After on rejection) and -bulk-threshold tunes which sweeps are
-// classed as bulk for the two-lane queue. -checkpoints turns on prefix
-// sharing: sweep points whose effective simulation is identical fork from
-// one snapshotted replay (cached under -ckpt-dir) instead of each
-// re-simulating it, with byte-identical results.
+// classed as bulk for the two-lane queue. -checkpoints turns on the
+// metrics memo: sweep points whose effective simulation is identical share
+// one run's metrics (cached under -ckpt-dir) instead of each re-simulating
+// it, with byte-identical results.
 //
 // The process drains gracefully on SIGINT/SIGTERM: the listener stops, and
 // running jobs get -drain to finish before being canceled.
@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		quotaRate  = fs.Float64("quota-rate", 0, "per-tenant submissions/sec admitted before 429 (0 = quotas off)")
 		quotaBurst = fs.Float64("quota-burst", 0, "per-tenant burst above -quota-rate (0 = rate, min 1)")
 		bulkThresh = fs.Int("bulk-threshold", 0, "sweeps larger than this run in the bulk lane (0 = default)")
-		ckpts      = fs.Bool("checkpoints", false, "share simulation prefixes between identical sweep points via the checkpoint cache")
+		ckpts      = fs.Bool("checkpoints", false, "simulate identical sweep points once and share the run's metrics via the checkpoint cache")
 		ckptDir    = fs.String("ckpt-dir", "", "checkpoint cache directory (default: IMP_CKPT_CACHE or the user cache dir; \"off\" keeps checkpoints memory-only)")
 	)
 	if err := fs.Parse(args); err != nil {

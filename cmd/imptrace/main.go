@@ -221,9 +221,8 @@ func sniffSnapshot(path string) (version uint16, ok bool) {
 func statFile(path string, dump int, stdout, stderr io.Writer) int {
 	fs, err := trace.OpenFile(path)
 	if err != nil {
-		// A checkpoint in a trace flag is an easy mix-up now that sweeps
-		// write both kinds of file; name what the file actually is instead
-		// of a bare bad-magic complaint.
+		// A simulator snapshot in a trace flag is an easy mix-up; name what
+		// the file actually is instead of a bare bad-magic complaint.
 		if ver, ok := sniffSnapshot(path); ok {
 			fmt.Fprintf(stderr, "imptrace: %s is an IMP simulator checkpoint (snapshot format v%d), not a trace\n", path, ver)
 			return 1

@@ -1,7 +1,6 @@
 package imp
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -135,29 +134,20 @@ type expPoint struct {
 // at any worker count. Each point's config is fully resolved here (workload,
 // cores, scale, derived trace seed); trace builds dedupe through the shared
 // progcache, and with opt.Checkpoints enabled, points whose effective
-// simulation is identical additionally share one replay through the
+// simulation is identical additionally share one run through the
 // checkpoint cache — common across experiments: fig2 and table3 both
 // simulate every workload's Perfect and Baseline cells.
 func (r *runner) sweep(points []expPoint) ([]*Result, error) {
-	pts := make([]simPoint, len(points))
+	cfgs := make([]Config, len(points))
 	for i, p := range points {
 		cfg := p.cfg
 		cfg.Workload = p.workload
 		cfg.Cores = r.opt.Cores
 		cfg.Scale = r.opt.Scale
 		cfg.Seed = ExpSeed(r.opt.Seed, p.workload)
-		pts[i] = simPoint{
-			meta: sweepMeta{experiment: r.id, workload: p.workload, system: cfg.System},
-			run: func(ctx context.Context) (*Result, error) {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				return runCfg(cfg, r.opt.Checkpoints)
-			},
-		}
-		pts[i].prefixKey, pts[i].runPrefix = prefixFor(cfg, r.opt.Checkpoints)
+		cfgs[i] = cfg
 	}
-	return sweepSim(r.opt.ctx(nil), r.opt.RunOptions, pts, r.opt.Progress)
+	return sweepSim(r.opt.ctx(nil), r.opt.RunOptions, r.id, cfgs, r.opt.Progress)
 }
 
 // grid sweeps workloads × cfgs and returns results indexed [workload][cfg].

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -115,11 +116,12 @@ func TestExperimentGolden(t *testing.T) {
 }
 
 // TestExperimentGoldenCheckpointed is the checkpointing correctness gate:
-// with prefix sharing on, fig2 and table3 must stay BYTE-identical to the
+// with checkpoints on, fig2 and table3 must stay BYTE-identical to the
 // goldens at parallelism 1 and 8. The cache directory is shared across all
-// four runs, so later runs fork from checkpoints earlier runs published —
-// the exact cross-experiment reuse path (fig2 and table3 share every
-// workload's Perfect and Baseline cells) must not perturb a single bit.
+// four runs, so later runs are served from checkpoints earlier runs
+// published — the exact cross-experiment reuse path (fig2 and table3 share
+// every workload's Perfect and Baseline cells) must not perturb a single
+// bit.
 func TestExperimentGoldenCheckpointed(t *testing.T) {
 	ckptcache.Flush()
 	defer ckptcache.Flush()
@@ -150,9 +152,12 @@ func TestExperimentGoldenCheckpointed(t *testing.T) {
 			}
 		}
 	}
+	// Four runs of three systems per workload, over four distinct systems
+	// (Ideal, Baseline, Perfect, IMP): each simulates once, the rest hit.
 	s := GetCheckpointStats()
-	if s.Hits == 0 || s.Misses == 0 {
-		t.Errorf("checkpointing not exercised: stats = %+v", s)
+	points, distinct := uint64(4*3*len(testWorkloads)), uint64(4*len(testWorkloads))
+	if s.Misses != distinct || s.Hits != points-distinct {
+		t.Errorf("stats = %+v, want %d misses and %d hits", s, distinct, points-distinct)
 	}
 	if s.PrefixCyclesSaved == 0 {
 		t.Errorf("no cycles accounted as saved despite %d hits", s.Hits)
@@ -160,21 +165,29 @@ func TestExperimentGoldenCheckpointed(t *testing.T) {
 }
 
 // TestCorruptCheckpointEvictsAndColdStarts pins the poisoned-cache path: a
-// checkpoint that fails its store envelope, or passes it but fails to
-// restore, is evicted and the point re-simulated, so corruption can cost
-// time but never correctness.
+// checkpoint that fails its store envelope, passes it but does not decode
+// as metrics, or decodes with the wrong core count, is evicted and the
+// point re-simulated, so corruption can cost time but never correctness.
 func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
+	ctx := context.Background()
 	cfg := Config{Workload: "spmv", Cores: 4, Scale: 0.05, System: SystemBaseline}
 	pristine, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	garbage := []byte("IMPSgarbage-not-a-valid-snapshot")
+	garbage := []byte("garbage-not-a-metrics-blob")
+	wrongCores := *pristine.Metrics
+	wrongCores.PerCoreCycles = wrongCores.PerCoreCycles[:cfg.Cores-1]
+	wrongBlob, err := wrongCores.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOf := func(file string) string { return strings.TrimSuffix(filepath.Base(file), ckptcache.Ext) }
 	for _, tc := range []struct {
 		name   string
 		poison func(t *testing.T, dir, file string)
-		// servedFirst: the store hands the bytes to sim.Restore, which
-		// rejects them, rather than rejecting the file itself.
+		// servedFirst: the store hands the bytes to the metrics decoder,
+		// which rejects them, rather than rejecting the file itself.
 		servedFirst bool
 	}{
 		{name: "bad-envelope", poison: func(t *testing.T, dir, file string) {
@@ -183,7 +196,10 @@ func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
 			}
 		}},
 		{name: "unrestorable-snapshot", poison: func(t *testing.T, dir, file string) {
-			ckptcache.Put(strings.TrimSuffix(filepath.Base(file), ".impsnap"), dir, garbage)
+			ckptcache.Put(keyOf(file), dir, garbage)
+		}, servedFirst: true},
+		{name: "wrong-core-count", poison: func(t *testing.T, dir, file string) {
+			ckptcache.Put(keyOf(file), dir, wrongBlob)
 		}, servedFirst: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,10 +211,10 @@ func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
 			// Populate the cache, then poison every checkpoint on disk and
 			// drop the in-memory copies so the next run must read the
 			// poisoned bytes.
-			if _, err := runCfg(cfg, pol); err != nil {
+			if _, err := runCfg(ctx, cfg, pol); err != nil {
 				t.Fatal(err)
 			}
-			files, err := filepath.Glob(filepath.Join(dir, "*.impsnap"))
+			files, err := filepath.Glob(filepath.Join(dir, "*"+ckptcache.Ext))
 			if err != nil || len(files) == 0 {
 				t.Fatalf("no checkpoint files published (err=%v)", err)
 			}
@@ -207,11 +223,11 @@ func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
 			}
 			ckptcache.Flush()
 
-			res, err := runCfg(cfg, pol)
+			res, err := runCfg(ctx, cfg, pol)
 			if err != nil {
 				t.Fatalf("corrupt checkpoint failed the run instead of cold-starting: %v", err)
 			}
-			if res.Cycles != pristine.Cycles || res.Throughput != pristine.Throughput || res.AMAT != pristine.AMAT {
+			if !reflect.DeepEqual(res, pristine) {
 				t.Errorf("cold-start after corruption diverged: %+v vs %+v", res, pristine)
 			}
 			s := ckptcache.GetStats()
@@ -219,18 +235,18 @@ func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
 				t.Error("corrupt blob was not evicted (Stats.Corrupt == 0)")
 			}
 			if served := s.DiskHits > 0; served != tc.servedFirst {
-				t.Errorf("poisoned blob served to restore = %v, want %v: %+v", served, tc.servedFirst, s)
+				t.Errorf("poisoned blob served to the decoder = %v, want %v: %+v", served, tc.servedFirst, s)
 			}
 			if _, err := os.Stat(files[0]); err == nil {
 				// The cold start re-published a fresh checkpoint under the
-				// same key; it must now restore cleanly.
+				// same key; it must now decode cleanly.
 				ckptcache.Flush()
 				ResetCheckpointStats()
-				if _, err := runCfg(cfg, pol); err != nil {
+				if _, err := runCfg(ctx, cfg, pol); err != nil {
 					t.Errorf("re-published checkpoint unusable: %v", err)
 				}
 				if cs := GetCheckpointStats(); cs.Hits != 1 || ckptcache.GetStats().Corrupt != 0 {
-					t.Errorf("re-published checkpoint not forked from: %+v, %+v", cs, ckptcache.GetStats())
+					t.Errorf("re-published checkpoint not served: %+v, %+v", cs, ckptcache.GetStats())
 				}
 			}
 		})

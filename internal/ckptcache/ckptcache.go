@@ -1,7 +1,9 @@
 // Package ckptcache is the process-wide internal/blobstore instance that
-// holds simulator checkpoints: its memory layer serves a sweep's leaves
-// forking from a prefix their group just simulated, and its disk layer
-// lets repeated sweeps across jobs and processes reuse prefixes.
+// holds sweep checkpoints: each is a finished simulation's metrics (a
+// sim.Metrics blob of a few hundred bytes), stored under the content
+// address of the run. Its memory layer serves repeated points within a
+// process, and its disk layer lets repeated sweeps across jobs and
+// processes skip simulation.
 //
 // The disk location is chosen as follows:
 //
@@ -15,10 +17,10 @@
 // the trace identity, the effective simulated system, and the trace,
 // generator and snapshot format versions), so a stale entry can only be a
 // corrupted one. The store evicts files that fail its envelope check; a
-// blob that passes it but fails to restore is Evicted by the caller
-// (counted in Stats.Corrupt too) and the point cold-starts, so corruption
-// never produces a wrong result. Blobs are shared: callers must treat them
-// as read-only.
+// blob that passes it but does not decode as the keyed run's metrics is
+// Evicted by the caller (counted in Stats.Corrupt too) and the point
+// cold-starts, so corruption never produces a wrong result. Blobs are
+// shared: callers must treat them as read-only.
 package ckptcache
 
 import "github.com/impsim/imp/internal/blobstore"
@@ -26,12 +28,16 @@ import "github.com/impsim/imp/internal/blobstore"
 // EnvDir is the environment variable overriding the disk cache directory.
 const EnvDir = "IMP_CKPT_CACHE"
 
-// Memory-layer bounds. Snapshots are a few MB at test scale and tens of MB
-// for full 64-core systems, so the byte cap is what usually binds; the
-// entry cap keeps pathological tiny-blob floods bounded too.
-const maxMemEntries, maxMemBytes = 64, 512 << 20
+// Ext is the file extension of checkpoints on disk.
+const Ext = ".impmetrics"
 
-var cache = blobstore.New("", ".impsnap", maxMemEntries, maxMemBytes)
+// Memory-layer bounds. A metrics blob is a few hundred bytes even for
+// 64-core systems, so the entry cap is what binds: 1024 entries hold every
+// distinct point of all the paper's figures several times over, in well
+// under the byte cap.
+const maxMemEntries, maxMemBytes = 1024, 4 << 20
+
+var cache = blobstore.New("", Ext, maxMemEntries, maxMemBytes)
 
 // at is the process-wide cache persisting to dir ("" defers to
 // IMP_CKPT_CACHE / the default).

@@ -61,12 +61,12 @@ func TestEnvOverride(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv(EnvDir, dir)
 	Put("k", "", []byte("x"))
-	if _, err := os.Stat(filepath.Join(dir, "k.impsnap")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "k"+Ext)); err != nil {
 		t.Fatalf("checkpoint not under IMP_CKPT_CACHE dir: %v", err)
 	}
 	t.Setenv(EnvDir, "off")
 	Put("k2", "", []byte("x"))
-	if _, err := os.Stat(filepath.Join(dir, "k2.impsnap")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "k2"+Ext)); !os.IsNotExist(err) {
 		t.Errorf("checkpoint written under IMP_CKPT_CACHE=off: %v", err)
 	}
 	if s := GetStats(); s.DiskPuts != 1 || s.DiskSkips != 1 {
@@ -74,7 +74,7 @@ func TestEnvOverride(t *testing.T) {
 	}
 	// An explicit dir argument overrides the environment.
 	Put("k3", dir, []byte("x"))
-	if _, err := os.Stat(filepath.Join(dir, "k3.impsnap")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "k3"+Ext)); err != nil {
 		t.Errorf("explicit override lost: %v", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestEvictDropsBothLayers(t *testing.T) {
 	if _, ok := Get("bad", dir); ok {
 		t.Fatal("evicted entry still served")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "bad.impsnap")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "bad"+Ext)); !os.IsNotExist(err) {
 		t.Errorf("evicted file still on disk: %v", err)
 	}
 	if s := GetStats(); s.Corrupt != 1 {

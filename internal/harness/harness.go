@@ -101,16 +101,6 @@ type Event struct {
 type Point[R any] struct {
 	// Label identifies the point in events and error messages.
 	Label string
-	// PrefixKey, when non-empty, groups points that share a common work
-	// prefix. RunPrefix runs at most once per distinct key across the sweep
-	// (inside the worker slot of whichever grouped point is claimed first);
-	// the other members of the group wait for it before running. A prefix
-	// failure never fails the group's points — each Run must be able to do
-	// its work from scratch, treating the prefix purely as an accelerator.
-	PrefixKey string
-	// RunPrefix performs the group's shared prefix work (for example,
-	// populating a checkpoint cache). Ignored when PrefixKey is empty.
-	RunPrefix func(ctx context.Context) error
 	// Run executes the point. It must respect ctx and must not touch state
 	// shared with other points unless that state is safe for concurrent use.
 	Run func(ctx context.Context) (R, error)
@@ -168,22 +158,6 @@ func SweepAll[R any](ctx context.Context, points []Point[R], opt Options, onEven
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Points sharing a PrefixKey run their prefix exactly once, under the
-	// first claimed member's worker slot; sync.Once makes later members wait
-	// for it rather than duplicate it.
-	var prefixes map[string]*prefixGroup
-	for i := range points {
-		if points[i].PrefixKey == "" || points[i].RunPrefix == nil {
-			continue
-		}
-		if prefixes == nil {
-			prefixes = make(map[string]*prefixGroup)
-		}
-		if _, ok := prefixes[points[i].PrefixKey]; !ok {
-			prefixes[points[i].PrefixKey] = &prefixGroup{}
-		}
-	}
-
 	var (
 		next    atomic.Int64 // next point index to claim
 		done    int          // finished points, for Event.Done; guarded by eventMu
@@ -228,12 +202,6 @@ func SweepAll[R any](ctx context.Context, points []Point[R], opt Options, onEven
 				}
 				//imp:wallclock progress-event timing only; Elapsed never feeds results or keys
 				start := time.Now()
-				if g := prefixes[points[i].PrefixKey]; g != nil {
-					g.once.Do(func() { g.err = runPrefix(ctx, points[i].RunPrefix) })
-					// g.err is deliberately dropped: the prefix is an
-					// accelerator, and the point's own Run recovers from a
-					// missing prefix by doing the work cold.
-				}
 				res, err := runPoint(ctx, points[i])
 				//imp:wallclock progress-event timing only; Elapsed never feeds results or keys
 				elapsed := time.Since(start)
@@ -250,24 +218,6 @@ func SweepAll[R any](ctx context.Context, points []Point[R], opt Options, onEven
 	}
 	wg.Wait()
 	return results, errs
-}
-
-// prefixGroup tracks one shared prefix: the once gates execution, err
-// records the outcome for the members that waited.
-type prefixGroup struct {
-	once sync.Once
-	err  error
-}
-
-// runPrefix executes a group's shared prefix, converting a panic into an
-// error with the same containment as runPoint.
-func runPrefix(ctx context.Context, f func(ctx context.Context) error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return f(ctx)
 }
 
 // runPoint executes one point, converting a panic into an error so a single

@@ -287,79 +287,3 @@ func TestSweepGateCancelledWhileWaiting(t *testing.T) {
 		t.Error("gated point ran despite cancellation")
 	}
 }
-
-// TestSweepPrefixRunsOncePerGroup: points sharing a PrefixKey run their
-// prefix exactly once per distinct key, before any grouped point's Run, at
-// any worker count.
-func TestSweepPrefixRunsOncePerGroup(t *testing.T) {
-	for _, workers := range []int{1, 4, 16} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var prefixA, prefixB atomic.Int64
-			counters := map[string]*atomic.Int64{"a": &prefixA, "b": &prefixB}
-			pts := make([]Point[int], 8)
-			for i := range pts {
-				i := i
-				key := "a"
-				if i%2 == 1 {
-					key = "b"
-				}
-				c := counters[key]
-				pts[i] = Point[int]{
-					Label:     fmt.Sprintf("p%d", i),
-					PrefixKey: key,
-					RunPrefix: func(context.Context) error { c.Add(1); return nil },
-					Run: func(context.Context) (int, error) {
-						if c.Load() == 0 {
-							return 0, fmt.Errorf("point %d ran before its prefix", i)
-						}
-						return i, nil
-					},
-				}
-			}
-			res, err := Sweep(context.Background(), pts, Options{Workers: workers}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range res {
-				if r != i {
-					t.Errorf("res[%d] = %d", i, r)
-				}
-			}
-			if prefixA.Load() != 1 || prefixB.Load() != 1 {
-				t.Errorf("prefix runs = (a:%d, b:%d), want exactly 1 each",
-					prefixA.Load(), prefixB.Load())
-			}
-		})
-	}
-}
-
-// TestSweepPrefixFailureDoesNotFailPoints: a prefix is an accelerator; its
-// error (or panic) must be swallowed and every grouped point still run.
-func TestSweepPrefixFailureDoesNotFailPoints(t *testing.T) {
-	var prefixRuns atomic.Int64
-	pts := make([]Point[int], 4)
-	for i := range pts {
-		i := i
-		pts[i] = Point[int]{
-			Label:     fmt.Sprintf("p%d", i),
-			PrefixKey: "doomed",
-			RunPrefix: func(context.Context) error {
-				if prefixRuns.Add(1) > 1 {
-					t.Error("failed prefix retried within one sweep")
-				}
-				panic("prefix exploded")
-			},
-			Run: func(context.Context) (int, error) { return i + 1, nil },
-		}
-	}
-	res, err := Sweep(context.Background(), pts, Options{Workers: 4}, nil)
-	if err != nil {
-		t.Fatalf("prefix failure leaked into the sweep error: %v", err)
-	}
-	for i, r := range res {
-		if r != i+1 {
-			t.Errorf("res[%d] = %d, want %d (point must cold-start)", i, r, i+1)
-		}
-	}
-}

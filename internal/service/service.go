@@ -79,10 +79,10 @@ type Config struct {
 	// BulkThreshold is the sweep size beyond which an unlabeled submission
 	// is classified into the bulk lane (default api.DefaultBulkThreshold).
 	BulkThreshold int
-	// Checkpoints, when enabled, lets jobs share simulation prefixes
-	// through the checkpoint cache: sweep points with identical effective
-	// simulations fork from one snapshotted replay instead of each
-	// re-simulating it. Results are byte-identical either way.
+	// Checkpoints, when enabled, lets jobs share simulations through the
+	// checkpoint cache: sweep points with identical effective simulations
+	// share one run's metrics instead of each re-simulating it. Results
+	// are byte-identical either way.
 	Checkpoints imp.CheckpointPolicy
 }
 
@@ -267,11 +267,11 @@ func (s *Service) initMetrics() {
 		func() float64 { return float64(s.store.Stats().Corrupt) })
 	// Checkpointed-sweep counters. The imp package counts process-wide (one
 	// checkpoint cache per process), which is exactly the service's scope.
-	r.CounterFunc("imp_service_checkpoint_hits_total", "Sweep points forked from a restored simulation checkpoint.",
+	r.CounterFunc("imp_service_checkpoint_hits_total", "Sweep points served from a checkpoint instead of simulated.",
 		func() float64 { return float64(imp.GetCheckpointStats().Hits) })
-	r.CounterFunc("imp_service_checkpoint_misses_total", "Shared replays simulated cold and published to the checkpoint cache.",
+	r.CounterFunc("imp_service_checkpoint_misses_total", "Sweep points simulated cold and published to the checkpoint cache.",
 		func() float64 { return float64(imp.GetCheckpointStats().Misses) })
-	r.CounterFunc("imp_service_prefix_cycles_saved_total", "Simulated cycles restored from checkpoints instead of re-simulated.",
+	r.CounterFunc("imp_service_prefix_cycles_saved_total", "Simulated cycles of the sweep points served from checkpoints.",
 		func() float64 { return float64(imp.GetCheckpointStats().PrefixCyclesSaved) })
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"sync"
@@ -93,9 +94,43 @@ func tryRestore(t *testing.T, prog *trace.Program, cfg Config, data []byte) {
 		return
 	}
 	// Decoded state may be semantically garbage (wrong counters); it must
-	// still be structurally sound enough for the accessors.
-	sys.Cycles()
+	// still be structurally sound enough to re-snapshot.
 	if _, err := sys.Snapshot(); err != nil {
 		t.Fatalf("restored system cannot re-snapshot: %v", err)
 	}
+}
+
+// FuzzMetricsBlob feeds Metrics.UnmarshalBinary arbitrary bytes — the
+// checkpoint cache persists finished runs in this form. The contract:
+// truncation, trailing bytes and a PerCoreCycles count the input cannot
+// hold are errors, never panics; accepted input re-marshals to exactly the
+// same bytes.
+func FuzzMetricsBlob(f *testing.F) {
+	prog, err := fuzzProgOnce()
+	if err != nil {
+		f.Fatalf("building %s workload: %v", fuzzWorkload, err)
+	}
+	m, err := Run(prog, fuzzConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := m.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got Metrics
+		if err := got.UnmarshalBinary(data); err != nil {
+			return
+		}
+		re, err := got.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted input re-marshals differently:\n in  %x\n out %x", data, re)
+		}
+	})
 }

@@ -1,13 +1,13 @@
 //go:build ignore
 
-// gen_fuzz_corpus regenerates the committed seed corpus for FuzzRestore
-// (fuzz_test.go):
+// gen_fuzz_corpus regenerates the committed seed corpora for FuzzRestore
+// and FuzzMetricsBlob (fuzz_test.go):
 //
 //	cd internal/sim && go run gen_fuzz_corpus.go
 //
-// Rerun after any snapshot format change (SnapshotFormatVersion bump) so
-// the corpus keeps seeding the component restore paths rather than dying at
-// the version check. The workload and config here must match fuzz_test.go's
+// Rerun after any snapshot or metrics-blob format change
+// (SnapshotFormatVersion bump) so the corpus keeps seeding the component
+// restore paths rather than dying at the version check. The workload and config here must match fuzz_test.go's
 // fuzzWorkload/fuzzCores/fuzzScale and fuzzConfig; change them together.
 package main
 
@@ -73,7 +73,33 @@ func main() {
 		seeds[fmt.Sprintf("seed-flip-%d", i)] = mut
 	}
 
-	dir := filepath.Join("testdata", "fuzz", "FuzzRestore")
+	writeSeeds("FuzzRestore", seeds)
+	fmt.Printf("wrote %d seeds for FuzzRestore (%d-byte valid snapshot)\n", len(seeds), len(valid))
+
+	m, err := sim.Run(prog, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	blob, _ := m.MarshalBinary()
+	head := *m
+	head.PerCoreCycles = nil
+	hb, _ := head.MarshalBinary()
+	n := len(hb) - 1 // offset of the PerCoreCycles count
+	blobSeeds := map[string][]byte{
+		"seed-valid":      blob,
+		"seed-empty":      nil,
+		"seed-truncated":  blob[:len(blob)-1],
+		"seed-trailing":   append(blob[:len(blob):len(blob)], 0),
+		"seed-huge-count": append(hb[:n:n], 0xfe, 0x01),
+		"seed-overlong":   append(append(hb[:n:n], blob[n]|0x80, 0x00), blob[n+1:]...),
+	}
+	writeSeeds("FuzzMetricsBlob", blobSeeds)
+	fmt.Printf("wrote %d seeds for FuzzMetricsBlob (%d-byte valid blob)\n", len(blobSeeds), len(blob))
+}
+
+// writeSeeds writes one fuzz target's corpus under testdata/fuzz/<target>.
+func writeSeeds(target string, seeds map[string][]byte) {
+	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
@@ -83,5 +109,4 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("wrote %d seeds for FuzzRestore (%d-byte valid snapshot)\n", len(seeds), len(valid))
 }

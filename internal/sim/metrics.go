@@ -32,7 +32,7 @@ func (k KindStats) rawMisses() uint64 { return k.Misses + k.CoveredMisses + k.La
 // Metrics is everything one simulation run reports.
 type Metrics struct {
 	Cycles int64 // runtime: max core finish time
-	//imp:nosnap produced by collect at the end of a run, never live mid-run
+	//imp:nosnap produced by collect at the end of a run, never live mid-run; MarshalBinary carries it
 	PerCoreCycles []int64
 	Instructions  uint64
 	SpinCycles    int64 // busy-wait instructions charged at barriers

@@ -137,9 +137,9 @@ func TestConcurrentRunsAcrossGeometries(t *testing.T) {
 	}
 }
 
-// BenchmarkSnapshotRestore isolates the checkpoint fork path of a sweep
-// point: restore a finished 16-core IMP replay and Finish it (metric
-// finalization only). Bytes are the snapshot size.
+// BenchmarkSnapshotRestore isolates the snapshot restore path: restore a
+// finished 16-core IMP replay and Finish it (metric finalization only).
+// Bytes are the snapshot size.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	p, err := workload.Build("spmv", workload.Options{Cores: 16, Scale: 0.1})
 	if err != nil {

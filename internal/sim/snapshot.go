@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,7 +16,9 @@ import (
 
 // SnapshotFormatVersion is the snapshot encoding version written by
 // System.Snapshot. Restore rejects any other version; bump it whenever any
-// component's snapshot layout changes.
+// component's snapshot layout changes. It also versions the layout of
+// Metrics.MarshalBinary, which carries no header of its own: callers that
+// persist metrics blobs put this version in their cache keys.
 const SnapshotFormatVersion = 2
 
 var snapshotMagic = [4]byte{'I', 'M', 'P', 'S'}
@@ -40,8 +43,9 @@ func IsSnapshot(data []byte) (version uint16, ok bool) {
 
 // System is a simulator instance under explicit control: run part of the
 // trace, snapshot the architectural state, restore it into a fresh instance,
-// resume. Run and RunSource stay the one-shot path; System exists so sweeps
-// can execute a shared config prefix once and fork the remainder.
+// resume. Run and RunSource are the one-shot path every sweep takes; System
+// serves snapshot tooling, fuzzing and the tests that pin cut-and-resume
+// determinism.
 type System struct {
 	s        *system
 	finished bool
@@ -101,19 +105,6 @@ func (y *System) Finish() (*Metrics, error) {
 	m := y.s.collect()
 	y.s.release()
 	return m, nil
-}
-
-// Cycles reports the simulated time reached so far: the maximum tile
-// clock. Callers restoring a checkpoint read it to account for the cycles
-// they did not have to re-simulate.
-func (y *System) Cycles() int64 {
-	var m int64
-	for _, t := range y.s.tiles {
-		if t.time > m {
-			m = t.time
-		}
-	}
-	return m
 }
 
 // Snapshot serializes the full architectural state — tile clocks and
@@ -372,7 +363,8 @@ func advanceStream(st trace.RecordStream, n int) error {
 }
 
 // snapMetrics appends every accumulated metric field. PerCoreCycles is
-// omitted: it is produced by collect at the end of a run, never mid-run.
+// omitted: it is produced by collect at the end of a run, never mid-run;
+// MarshalBinary appends it for finished runs.
 func snapMetrics(w *snap.Writer, m *Metrics) {
 	w.I64(m.Cycles)
 	w.U64(m.Instructions)
@@ -439,4 +431,42 @@ func restoreMetrics(r *snap.Reader, m *Metrics) {
 	m.Fetch.Dram = r.I64()
 	m.Fetch.Coh = r.I64()
 	m.Fetch.Resp = r.I64()
+}
+
+// MarshalBinary encodes a finished run's metrics: every field snapMetrics
+// writes, then PerCoreCycles (count, values). The layout is versioned by
+// SnapshotFormatVersion.
+func (m *Metrics) MarshalBinary() ([]byte, error) {
+	w := snap.NewWriter(256)
+	snapMetrics(w, m)
+	w.Int(len(m.PerCoreCycles))
+	for _, c := range m.PerCoreCycles {
+		w.I64(c)
+	}
+	return w.Data(), nil
+}
+
+// UnmarshalBinary decodes bytes written by MarshalBinary. It rejects
+// truncated input, a PerCoreCycles count the remaining bytes cannot hold,
+// and any bytes MarshalBinary would not have produced from the decoded
+// values (trailing bytes, overlong varints), so accepted input re-marshals
+// to the same bytes.
+func (m *Metrics) UnmarshalBinary(data []byte) error {
+	var out Metrics
+	r := snap.NewReader(data)
+	restoreMetrics(r, &out)
+	if n := r.Count(1); n > 0 {
+		out.PerCoreCycles = make([]int64, n)
+		for i := range out.PerCoreCycles {
+			out.PerCoreCycles[i] = r.I64()
+		}
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("sim: metrics blob: %w", err)
+	}
+	if re, _ := out.MarshalBinary(); !bytes.Equal(re, data) {
+		return errors.New("sim: metrics blob: trailing bytes or non-canonical encoding")
+	}
+	*m = out
+	return nil
 }

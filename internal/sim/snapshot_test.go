@@ -224,3 +224,53 @@ func TestSystemLifecycle(t *testing.T) {
 		t.Error("second Finish succeeded")
 	}
 }
+
+// TestMetricsBlobRoundTrip: a finished run's metrics survive
+// MarshalBinary/UnmarshalBinary exactly, and damaged blobs are errors.
+func TestMetricsBlobRoundTrip(t *testing.T) {
+	p, err := workload.Build("spmv", workload.Options{Cores: 4, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(4)
+	cfg.Prefetcher = PrefetchIMP
+	m, err := Run(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Metrics
+	if err := got.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, &got) {
+		t.Fatalf("round trip diverged:\n  want %+v\n  got  %+v", m, &got)
+	}
+
+	// The PerCoreCycles count follows the snapMetrics fields; without
+	// per-core values it is the blob's last byte.
+	head := *m
+	head.PerCoreCycles = nil
+	hb, err := head.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	countAt := len(hb) - 1
+	hugeCount := append(append([]byte(nil), blob[:countAt]...), 0xfe, 0x01) // zigzag 127
+	overlong := append(append([]byte(nil), blob[:countAt]...), blob[countAt]|0x80, 0x00)
+	overlong = append(overlong, blob[countAt+1:]...)
+	for name, bad := range map[string][]byte{
+		"empty":      nil,
+		"truncated":  blob[:len(blob)-1],
+		"trailing":   append(append([]byte(nil), blob...), 0),
+		"huge-count": hugeCount,
+		"overlong":   overlong,
+	} {
+		if err := new(Metrics).UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: UnmarshalBinary accepted a damaged blob", name)
+		}
+	}
+}

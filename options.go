@@ -37,9 +37,9 @@ type RunOptions struct {
 	// points sharing an identical effective simulation (same trace and same
 	// effective system — late-binding IMP prefetch parameters are excluded
 	// from the identity when the system does not instantiate the IMP
-	// prefetcher) run the shared replay once, snapshot it, and fork the
-	// remaining points from the restored state instead of cold-starting
-	// each one. Checkpoints are content-addressed and cached across runs
+	// prefetcher) are simulated once, and the run's metrics are memoized
+	// for every other such point instead of cold-starting each one.
+	// Checkpoints are content-addressed and cached across runs
 	// (internal/ckptcache); results are byte-identical either way.
 	Checkpoints CheckpointPolicy
 }

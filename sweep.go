@@ -32,28 +32,18 @@ func NewGate(n int) Gate { return harness.NewGate(n) }
 // to running each config serially through Run. Traces are built per point
 // (configs in a sweep usually differ in workload, cores or scale); use
 // Experiments for the paper's trace-sharing sweeps. With opt.Checkpoints
-// enabled, configs whose effective simulation is identical share one replay
+// enabled, configs whose effective simulation is identical share one run
 // through the checkpoint cache instead of cold-starting each.
 func RunSweep(ctx context.Context, cfgs []Config, opt SweepOptions) ([]*Result, error) {
-	pts := make([]simPoint, len(cfgs))
+	resolved := make([]Config, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg.applyDefaults()
 		if cfg.Seed == 0 && opt.Seed != 0 {
 			cfg.Seed = ExpSeed(opt.Seed, cfg.Workload)
 		}
-		cfg := cfg
-		pts[i] = simPoint{
-			meta: sweepMeta{workload: cfg.Workload, system: cfg.System},
-			run: func(ctx context.Context) (*Result, error) {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				return runCfg(cfg, opt.Checkpoints)
-			},
-		}
-		pts[i].prefixKey, pts[i].runPrefix = prefixFor(cfg, opt.Checkpoints)
+		resolved[i] = cfg
 	}
-	return sweepSim(opt.ctx(ctx), opt.RunOptions, pts, nil)
+	return sweepSim(opt.ctx(ctx), opt.RunOptions, "", resolved, nil)
 }
 
 // ExpSeed returns the trace seed an experiment derives for workload from a
@@ -64,35 +54,19 @@ func ExpSeed(base int64, workload string) int64 {
 	return harness.SeedFor(base, workload)
 }
 
-// sweepMeta labels one sweep point for events and error messages.
-type sweepMeta struct {
-	experiment string
-	workload   string
-	system     System
-}
-
-// simPoint is one fully-resolved sweep point: event metadata, the leaf
-// simulation closure, and (with checkpointing on) the prefix-sharing key
-// and warm-up closure the harness runs once per group.
-type simPoint struct {
-	meta      sweepMeta
-	prefixKey string
-	runPrefix func(ctx context.Context) error
-	run       func(ctx context.Context) (*Result, error)
-}
-
 // sweepSim is the one adapter between simulation sweeps and the harness:
-// it wraps per-point sim closures into labeled harness points, fans them out
-// with fail-fast bounded parallelism, translates harness events into
-// ProgressEvents, and returns results in point order.
-func sweepSim(ctx context.Context, opt RunOptions, pts []simPoint, progress func(string)) ([]*Result, error) {
-	hpts := make([]harness.Point[*Result], len(pts))
-	for i := range pts {
+// it turns fully-resolved configs into labeled harness points running
+// runCfg, fans them out with fail-fast bounded parallelism, translates
+// harness events into ProgressEvents (tagged with experiment), and returns
+// results in point order.
+func sweepSim(ctx context.Context, opt RunOptions, experiment string, cfgs []Config, progress func(string)) ([]*Result, error) {
+	hpts := make([]harness.Point[*Result], len(cfgs))
+	for i, cfg := range cfgs {
 		hpts[i] = harness.Point[*Result]{
-			Label:     fmt.Sprintf("%s/%s", pts[i].meta.workload, pts[i].meta.system),
-			PrefixKey: pts[i].prefixKey,
-			RunPrefix: pts[i].runPrefix,
-			Run:       pts[i].run,
+			Label: fmt.Sprintf("%s/%s", cfg.Workload, cfg.System),
+			Run: func(ctx context.Context) (*Result, error) {
+				return runCfg(ctx, cfg, opt.Checkpoints)
+			},
 		}
 	}
 	var onEvent func(harness.Event, *Result)
@@ -103,20 +77,20 @@ func sweepSim(ctx context.Context, opt RunOptions, pts []simPoint, progress func
 			if errors.Is(e.Err, context.Canceled) || errors.Is(e.Err, context.DeadlineExceeded) {
 				return
 			}
-			m := pts[e.Index].meta
+			c := cfgs[e.Index]
 			var cycles int64
 			if res != nil {
 				cycles = res.Cycles
 			}
 			if opt.OnProgress != nil {
 				opt.OnProgress(ProgressEvent{
-					Experiment: m.experiment, Workload: m.workload, System: m.system,
+					Experiment: experiment, Workload: c.Workload, System: c.System,
 					Point: e.Index, Total: e.Total, Done: e.Done,
 					Cycles: cycles, Elapsed: e.Elapsed, Err: e.Err,
 				})
 			}
 			if progress != nil && e.Err == nil {
-				progress(fmt.Sprintf("%s/%s: %d cycles", m.workload, m.system, cycles))
+				progress(fmt.Sprintf("%s/%s: %d cycles", c.Workload, c.System, cycles))
 			}
 		}
 	}
